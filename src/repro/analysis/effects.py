@@ -1,45 +1,17 @@
-"""Rule ``guard-purity``: aborts are fall-throughs, horizons are pure.
+"""Rule ``horizon-purity``: skip-horizon queries are side-effect free.
 
-Two of the repo's performance layers are sound only because of effect
-ordering disciplines that used to live in docstrings:
+The cycle-skipping fast path calls ``skip_horizon`` / ``next_*_cycle``
+on every quiescent cycle; the skip contract says these queries must not
+mutate simulation state (a skip must be unobservable).  The rule checks
+every implementation for machine mutations, with a short allowlist of
+*lazy cache prunes* that are part of the queries' amortized-cost design
+and provably state-transparent (:data:`BENIGN_MUTATIONS` — each entry is
+documented at its definition site).
 
-**Macro-dispatch guards** (PR 6, transcribed into the kernel tier in
-PR 8).  ``SMTPipeline._macro_dispatch`` speculates a fused multi-
-instruction dispatch run, protected by entry guards (ROB/IQ/regfile
-headroom, policy veto, desync check).  The contract: *every guard holds
-before any machine mutation; an abort is a fall-through to the
-per-instruction path, never a rollback*.  If a machine-state write ever
-moves above a guard, an aborted attempt leaves the machine corrupted —
-and nothing but review enforced that.  This rule builds a
-statement-level CFG (:mod:`repro.analysis.cfg`) over
-``_macro_dispatch`` **and over the macro block of every generated
-kernel** (via :func:`repro.analysis.tiersync.generated_kernels`),
-classifies every mutation site, and errors on any machine mutation from
-which an abort site is still reachable in the same attempt (loop back
-edges excluded — a mutation after this attempt's guards all passed is
-the speculation paying off).
-
-Mutation classification:
-
-* **local** — writes to bare names and to containers created fresh in
-  the region (``live = []`` … ``live.append``): invisible outside.
-* **plan** — the speculation metadata tables (``plan.*``, ``plans[...]``,
-  ``thread.macro_plans``): explicitly outside the contract (plans are
-  recorded before guards by design; they describe the trace, not the
-  machine).
-* **abort accounting** — ``macro_guard_aborts`` / ``macro_abort_causes``
-  writes: the abort bookkeeping itself.
-* **machine** — everything else: ROB/IQ/regfile/fetch-queue state,
-  stats slots, pipeline fields.  These must be unreachable-from-abort.
-
-**Horizon purity** (PR 4).  The cycle-skipping fast path calls
-``skip_horizon`` / ``next_*_cycle`` on every quiescent cycle; the skip
-contract says these queries must not mutate simulation state (a skip
-must be unobservable).  The rule checks every implementation for
-machine mutations, with a short allowlist of *lazy cache prunes* that
-are part of the queries' amortized-cost design and provably
-state-transparent (:data:`BENIGN_MUTATIONS` — each entry is documented
-at its definition site).
+Mutation classification: writes to bare names and to containers created
+fresh in the function itself (``live = []`` … ``live.append``) are
+local and invisible outside; everything else — queue, heap, register
+file and pipeline state, stats slots — is a machine mutation.
 """
 
 from __future__ import annotations
@@ -47,11 +19,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from . import cfg
 from .astutil import dotted, iter_functions
 from .model import Finding, LintContext
 from .registry import Rule, rule
-from .tiersync import KERNEL_GEN, KernelGenError, generated_kernels
 
 #: Methods that mutate their receiver in-place.
 MUTATOR_METHODS = frozenset({
@@ -66,14 +36,6 @@ MUTATOR_FUNCTIONS = frozenset({
     "heappush", "heappop", "heapq.heappush", "heapq.heappop",
     "heap_pop",
 })
-
-#: Method names whose call is *not* a mutation even though the name
-#: collides with a mutator (dict.get-style readers are absent from
-#: MUTATOR_METHODS already; nothing needed today).
-_READER_METHODS = frozenset({"get"})
-
-#: Spellings of the abort bookkeeping (exempt by classification).
-_ABORT_SLOTS = ("macro_guard_aborts", "macro_abort_causes")
 
 #: Horizon implementations allowed one specific benign mutation each:
 #: lazy prunes of already-dead cache/heap entries, part of the queries'
@@ -101,8 +63,6 @@ HORIZON_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("mem/mshr.py", "MSHRFile.next_release_cycle"),
     ("mem/hierarchy.py", "MemoryHierarchy.next_fill_cycle"),
 )
-
-MACRO_SOURCE = ("core/pipeline.py", "SMTPipeline._macro_dispatch")
 
 
 # -------------------------------------------------------------- mutations
@@ -141,7 +101,7 @@ def fresh_locals(body: Sequence[ast.stmt]) -> Set[str]:
 def statement_mutations(stmt: ast.stmt) -> List[Tuple[int, str]]:
     """``(line, spelling)`` of each mutation site this statement itself
     performs (compound statements contribute only their header
-    expression — their bodies are separate CFG nodes)."""
+    expression — their bodies are visited as statements of their own)."""
     if isinstance(stmt, (ast.If, ast.While)):
         exprs: List[ast.AST] = [stmt.test]
     elif isinstance(stmt, (ast.For, ast.AsyncFor)):
@@ -188,64 +148,9 @@ def _flatten_targets(target: ast.AST):
         yield target
 
 
-def classify(spelling: str, fresh: Set[str]) -> str:
-    root = spelling.split(".", 1)[0].split("(", 1)[0]
-    if any(slot in spelling for slot in _ABORT_SLOTS) or root == "causes":
-        return "abort"
-    if root in ("plan", "plans") or ".macro_plans" in spelling \
-            or spelling.endswith("macro_plans"):
-        return "plan"
-    if root in fresh:
-        return "local"
-    if "." not in spelling and "(" not in spelling:
-        # A subscript/attribute store through a bare local name whose
-        # object we cannot see being created: conservatively machine.
-        return "machine"
-    return "machine"
-
-
-def _is_abort_site(stmt: ast.stmt) -> bool:
-    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        spelling = dotted(stmt.value.func)
-        return bool(spelling) and spelling.endswith("_macro_abort")
-    if isinstance(stmt, ast.AugAssign):
-        spelling = dotted(stmt.target)
-        return bool(spelling) and spelling.endswith("macro_guard_aborts")
-    return False
-
-
-def check_macro_region(body: Sequence[ast.stmt], path: str, label: str,
-                       rule_name: str,
-                       line_of=None) -> List[Finding]:
-    """Flag machine mutations from which an abort is still reachable."""
-    graph = cfg.build(list(body))
-    aborts = {nid for nid, stmt in graph.nodes.items()
-              if _is_abort_site(stmt)}
-    if not aborts:
-        return []
-    fresh = fresh_locals(body)
-    reach = cfg.reaches_forward(graph, aborts)
-    findings: List[Finding] = []
-    seen: Set[Tuple[int, str]] = set()
-    for nid in sorted(reach & set(graph.nodes)):
-        stmt = graph.nodes[nid]
-        for lineno, spelling in statement_mutations(stmt):
-            if classify(spelling, fresh) != "machine":
-                continue
-            key = (lineno, spelling)
-            if key in seen:
-                continue
-            seen.add(key)
-            findings.append(Finding(
-                rule=rule_name, path=path,
-                line=lineno if line_of is None else line_of(lineno),
-                message=(f"machine-state mutation {spelling!r} in "
-                         f"{label} is reachable before a macro-guard "
-                         "abort — the macro contract is guards-then-"
-                         "mutations, abort = fall-through, never "
-                         "rollback; move the mutation below the last "
-                         "guard or guard it explicitly")))
-    return findings
+def is_machine_mutation(spelling: str, fresh: Set[str]) -> bool:
+    """Is a mutation of ``spelling`` visible outside the function?"""
+    return spelling.split(".", 1)[0].split("(", 1)[0] not in fresh
 
 
 def check_horizon_function(node: ast.AST, path: str, qualname: str,
@@ -257,7 +162,7 @@ def check_horizon_function(node: ast.AST, path: str, qualname: str,
         if not isinstance(stmt, ast.stmt):
             continue
         for lineno, spelling in statement_mutations(stmt):
-            if classify(spelling, fresh) != "machine":
+            if not is_machine_mutation(spelling, fresh):
                 continue
             if any(spelling.startswith(tolerated) for tolerated in benign):
                 continue
@@ -273,53 +178,14 @@ def check_horizon_function(node: ast.AST, path: str, qualname: str,
     return findings
 
 
-def _kernel_macro_bodies(source: str) -> List[Tuple[int, List[ast.stmt]]]:
-    """The macro-speculation block(s) of one generated kernel: the
-    ``while plan is not None`` loops (line, body)."""
-    tree = ast.parse(source)
-    regions: List[Tuple[int, List[ast.stmt]]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.While) \
-                and isinstance(node.test, ast.Compare) \
-                and isinstance(node.test.left, ast.Name) \
-                and node.test.left.id == "plan" \
-                and any(isinstance(op, ast.IsNot)
-                        for op in node.test.ops):
-            regions.append((node.lineno, node.body))
-    return regions
-
-
 @rule
-class GuardPurityRule(Rule):
-    name = "guard-purity"
-    description = ("macro-dispatch guards must precede every machine "
-                   "mutation (abort = fall-through) and horizon "
-                   "queries must be side-effect free — in the python "
-                   "tier and in every generated kernel")
+class HorizonPurityRule(Rule):
+    name = "horizon-purity"
+    description = ("skip_horizon/next_*_cycle horizon queries must be "
+                   "side-effect free (a skipped cycle must be "
+                   "unobservable)")
 
     def run(self, ctx: LintContext) -> List[Finding]:
-        findings: List[Finding] = []
-        findings.extend(self._check_source_macro(ctx))
-        findings.extend(self._check_horizons(ctx))
-        findings.extend(self._check_kernels(ctx))
-        return findings
-
-    def _check_source_macro(self, ctx: LintContext) -> List[Finding]:
-        relpath, qualname = MACRO_SOURCE
-        source = ctx.file(relpath)
-        if source is None:
-            return []
-        node = dict(iter_functions(source.tree)).get(qualname)
-        if node is None:
-            return [Finding(
-                rule=self.name, path=relpath, line=1,
-                message=(f"{qualname!r} not found — update "
-                         "analysis/effects.py MACRO_SOURCE when moving "
-                         "the macro-dispatch layer"))]
-        return check_macro_region(node.body, relpath, f"{qualname}",
-                                  self.name)
-
-    def _check_horizons(self, ctx: LintContext) -> List[Finding]:
         findings: List[Finding] = []
         for relpath, qualname in HORIZON_FUNCTIONS:
             source = ctx.file(relpath)
@@ -342,33 +208,4 @@ class GuardPurityRule(Rule):
                 if qualname.split(".")[-1] == "skip_horizon":
                     findings.extend(check_horizon_function(
                         node, source.relpath, qualname, self.name))
-        return findings
-
-    def _check_kernels(self, ctx: LintContext) -> List[Finding]:
-        if ctx.file(KERNEL_GEN) is None:
-            return []
-        try:
-            kernels = generated_kernels(ctx)
-        except KernelGenError as exc:
-            return [Finding(rule=self.name, path=KERNEL_GEN, line=1,
-                            message=str(exc))]
-        findings: List[Finding] = []
-        for label, key, source in kernels:
-            if not key.macro_spec:
-                continue
-            regions = _kernel_macro_bodies(source)
-            if not regions:
-                findings.append(Finding(
-                    rule=self.name, path=KERNEL_GEN, line=1,
-                    message=(f"generated kernel [{label}] has "
-                             "macro_spec=True but no recognizable "
-                             "macro block (`while plan is not None`) "
-                             "— the structural anchor moved; update "
-                             "analysis/effects.py")))
-                continue
-            for lineno, body in regions:
-                findings.extend(check_macro_region(
-                    body, KERNEL_GEN,
-                    f"generated kernel [{label}] macro block "
-                    f"(generated line {lineno})", self.name))
         return findings

@@ -1,12 +1,10 @@
-"""Rule ``hook-conformance``: the runtime auto-veto opt-ins, made static.
+"""Rule ``hook-conformance``: the runtime cycle-skip opt-in, made static.
 
-Two pipeline fast paths are gated on policy opt-in declarations (see
+Cycle skipping is gated on a policy opt-in declaration (see
 :mod:`repro.core.hookspec`): a policy that overrides ``on_cycle`` must
-(re)declare ``skip_horizon`` at or below the override, and one that
-overrides either accounting hook (``on_cycle`` /
-``on_l2_miss_detected``) must (re)declare ``macro_step_ok``.  At run
-time a missing declaration merely disables the fast path — safe but
-silently slow, and invisible until someone profiles.  This rule makes
+(re)declare ``skip_horizon`` at or below the override.  At run time a
+missing declaration merely disables the fast path — safe but silently
+slow, and invisible until someone profiles.  This rule makes
 the contract a build-time failure instead.
 
 The verdicts come from the *same classifier* the pipeline constructor
@@ -101,7 +99,7 @@ def _definition_chain(info: _ClassInfo, table: Dict[str, _ClassInfo]
 def policy_verdicts(ctx: LintContext) -> Dict[str, Dict[str, bool]]:
     """Static conformance verdicts per policy class name.
 
-    ``{"PolicyName": {"horizon": bool, "macro": bool}}`` — computed with
+    ``{"PolicyName": {"horizon": bool}}`` — computed with
     :func:`repro.core.hookspec.contract_covers` over the AST-derived
     definition chain.  Exposed for the runtime-agreement test.
     """
@@ -116,9 +114,6 @@ def policy_verdicts(ctx: LintContext) -> Dict[str, Dict[str, bool]]:
             "horizon": hookspec.contract_covers(
                 defined_chain, hookspec.HORIZON_CONTRACT,
                 hookspec.HORIZON_TRIGGERS),
-            "macro": hookspec.contract_covers(
-                defined_chain, hookspec.MACRO_CONTRACT,
-                hookspec.MACRO_TRIGGERS),
         }
     return verdicts
 
@@ -126,9 +121,8 @@ def policy_verdicts(ctx: LintContext) -> Dict[str, Dict[str, bool]]:
 @rule
 class HookConformanceRule(Rule):
     name = "hook-conformance"
-    description = ("a policy overriding on_cycle/on_l2_miss_detected "
-                   "must (re)declare skip_horizon/macro_step_ok at or "
-                   "below the override")
+    description = ("a policy overriding on_cycle must (re)declare "
+                   "skip_horizon at or below the override")
 
     def run(self, ctx: LintContext) -> List[Finding]:
         table = _scan_classes(ctx)
@@ -150,15 +144,4 @@ class HookConformanceRule(Rule):
                              "disables cycle skipping for it; declare "
                              "the wakeup contract (see "
                              "FetchPolicy.skip_horizon)")))
-            if not hookspec.contract_covers(
-                    defined_chain, hookspec.MACRO_CONTRACT,
-                    hookspec.MACRO_TRIGGERS):
-                findings.append(Finding(
-                    rule=self.name, path=info.relpath, line=info.line,
-                    message=(f"policy {name!r} overrides accounting "
-                             "hooks (on_cycle/on_l2_miss_detected) "
-                             "without (re)declaring macro_step_ok — "
-                             "REPRO_SPECULATE=auto vetoes fused "
-                             "dispatch for it; declare the macro-step "
-                             "contract (see FetchPolicy.macro_step_ok)")))
         return findings

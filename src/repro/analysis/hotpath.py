@@ -33,14 +33,13 @@ from .tiersync import KERNEL_GEN, KernelGenError, generated_kernels
 
 #: The guarded fast paths: (module relpath, dotted qualname).  These are
 #: the PR 3/4 per-instruction/per-cycle workhorses — the functions the
-#: bench matrix times and the macro-step layer fuses over.
+#: bench matrix times.
 HOT_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("core/pipeline.py", "SMTPipeline.step"),
     ("core/pipeline.py", "SMTPipeline._process_events"),
     ("core/pipeline.py", "SMTPipeline._commit_thread"),
     ("core/pipeline.py", "SMTPipeline._issue_stage"),
     ("core/pipeline.py", "SMTPipeline._dispatch_stage"),
-    ("core/pipeline.py", "SMTPipeline._macro_dispatch"),
     ("core/pipeline.py", "SMTPipeline._dispatch"),
     ("core/pipeline.py", "SMTPipeline._fetch_stage"),
     ("core/pipeline.py", "SMTPipeline._fetch_thread"),

@@ -11,21 +11,20 @@ generator declares, next to its emitters, a ``FRAGMENTS`` table: which
 source function each emitter transcribes and the exact **substitution
 algebra** relating the two spellings (shape attributes folded to
 ``KernelKey`` literals, pre-bound helper names, inlined helper bodies,
-dead branches eliminated under key constants, declared structural
-rewrites for the restructured regions).  The engine
+declared structural rewrites for the restructured regions).  The engine
 
 * parses the python tier (pure AST — the linted tree, never imported),
 * executes the *linted* ``core/kernel_gen.py`` and captures each
   emitter's output for the declared representative ``TIERSYNC_KEY``,
 * applies the declared substitutions to the source side, normalizes
-  both ASTs (docstring strip, constant folding, ``AnnAssign`` decay),
+  both ASTs (``True`` operands folded into ``and`` chains are dropped),
 * and reports any residual structural difference as an error carrying a
   unified diff of the two normalized forms, naming both ``file:line``
   sides.
 
 Soundness of the algebra: every declared operation either (a) is a
 semantics-preserving rewrite under the key constants (renames, literal
-folds, dead-branch elimination), (b) splices the *current* helper body
+folds), (b) splices the *current* helper body
 from the linted tree (``inline`` — so helper edits flow into the
 comparison), or (c) is a **concrete rewrite** whose pattern pins the
 source text and whose replacement must equal the emitted kernel
@@ -34,24 +33,23 @@ helper body the concrete form absorbed.  In every case an unmirrored
 edit to either tier breaks a pattern match, a guard, or the final
 comparison — there is no silent path through.
 
-Substitution operations (applied in declared order, source side unless
-stated):
+Substitution operations (applied in declared order to the source side):
 
 ``("rename", old, new)``
     Rename every ``Name`` occurrence.
-``("expr", old, new)`` / ``("kexpr", old, new)``
-    Structural expression rewrite (kernel side for ``kexpr``); ``__X__``
-    metavariables match any expression and bind by structure.
-``("stmt", pattern, replacement)`` / ``("kstmt", ...)``
+``("expr", old, new)``
+    Structural expression rewrite.
+``("stmt", pattern, replacement)``
     Consecutive-statement rewrite; ``__REST__``/``__BODY__`` bind
     statement runs.  An empty replacement deletes (hoist elision).
 ``("inline", (relpath, qualname), pattern, template, opts)``
     Replace the matched call site with ``template``, whose
-    ``__INLINE__`` marker becomes the helper's current body with
-    ``opts["bind"]`` parameter bindings applied and each ``return``
-    handled by the positional ``opts["returns"]`` spec (``"break"``,
-    ``"continue"``, ``"delete"``, ``"else-rest"``, or
-    ``"stmts:<code>"`` with ``__RET__`` bound to the returned value).
+    ``__INLINE__`` marker becomes the helper's current body with its
+    parameters substituted (``opts["bind"]``: parameter -> expression)
+    or assigned in a prelude (``opts["assign"]``: parameter ->
+    expression), and each ``return`` handled by the positional
+    ``opts["returns"]`` spec (``"continue"``, ``"delete"``,
+    ``"else-rest"``, or ``"stmts:<code>"``).
 ``("unroll", var, iterations)``
     Unroll the ``for <var> in ...`` loop; each iteration dict maps
     names to replacement expressions for that copy.
@@ -62,8 +60,8 @@ stated):
 
 The rule also exposes :func:`generated_kernels` — one compiled
 representative kernel per coverage class — consumed by
-``hot-path-hygiene`` and ``guard-purity`` so *emitted* loops inherit
-the fast-path and guard disciplines, not just the emitters.
+``hot-path-hygiene`` so *emitted* loops inherit the fast-path
+discipline, not just the emitters.
 """
 
 from __future__ import annotations
@@ -73,7 +71,6 @@ import copy
 import difflib
 import importlib.util
 import os
-import re
 import textwrap
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -105,13 +102,7 @@ def parse_expr(code: str) -> ast.expr:
     return ast.parse(code, mode="eval").body
 
 
-_METAVAR = re.compile(r"^__[A-Z][A-Z0-9_]*__$")
 _WILDCARD_PREFIXES = ("__REST", "__BODY", "__STMTS")
-
-
-def _is_metavar(name: str) -> bool:
-    return bool(_METAVAR.match(name)) \
-        and not name.startswith(_WILDCARD_PREFIXES)
 
 
 def _stmt_wildcard(stmt: ast.stmt) -> Optional[str]:
@@ -134,14 +125,6 @@ _STMT_LIST_FIELDS = ("body", "orelse", "finalbody")
 
 
 def _match(pattern, node, bindings: Dict) -> bool:
-    if isinstance(pattern, ast.Name) and _is_metavar(pattern.id):
-        if not isinstance(node, ast.AST):
-            return False
-        seen = bindings.get(pattern.id)
-        if seen is not None:
-            return _dump(seen) == _dump(node)
-        bindings[pattern.id] = node
-        return True
     if type(pattern) is not type(node):
         return False
     if isinstance(pattern, ast.Constant):
@@ -191,14 +174,6 @@ def _match_seq_prefix(patterns: Sequence[ast.stmt],
     head = patterns[0]
     wildcard = _stmt_wildcard(head)
     if wildcard is not None:
-        prior = bindings.get(wildcard)
-        if prior is not None:
-            n = len(prior)
-            if len(stmts) >= n and _dump(list(stmts[:n])) == _dump(prior):
-                rest = _match_seq_prefix(patterns[1:], stmts[n:], bindings)
-                if rest is not None:
-                    return n + rest
-            return None
         for n in range(len(stmts), -1, -1):     # greedy first
             trial = dict(bindings)
             trial[wildcard] = list(stmts[:n])
@@ -223,13 +198,7 @@ def _match_seq_prefix(patterns: Sequence[ast.stmt],
 # ------------------------------------------------------------- substitution
 
 def _substitute(node, bindings: Dict):
-    """Deep copy with metavariables replaced from ``bindings``."""
-    if isinstance(node, ast.Name) and node.id in bindings:
-        replacement = bindings[node.id]
-        if isinstance(replacement, list):
-            raise SubstitutionError(
-                f"statement wildcard {node.id!r} used in expression position")
-        return copy.deepcopy(replacement)
+    """Deep copy with statement wildcards expanded from ``bindings``."""
     if not isinstance(node, ast.AST):
         return node
     fields = {}
@@ -361,16 +330,13 @@ def _collect_returns(stmts: Sequence[ast.stmt],
             _collect_returns(handler.body, out)
 
 
-def _return_stmts(spec: str, value: Optional[ast.expr]) -> List[ast.stmt]:
-    if spec == "break":
-        return [ast.Break()]
+def _return_stmts(spec: str) -> List[ast.stmt]:
     if spec == "continue":
         return [ast.Continue()]
     if spec == "delete":
         return []
     if spec.startswith("stmts:"):
-        bindings = {"__RET__": value} if value is not None else {}
-        return _substitute_stmts(parse_stmts(spec[len("stmts:"):]), bindings)
+        return parse_stmts(spec[len("stmts:"):])
     raise SubstitutionError(f"unknown return spec {spec!r}")
 
 
@@ -385,7 +351,7 @@ def _apply_return_specs(stmts: List[ast.stmt],
             if spec is None:
                 raise SubstitutionError(
                     "inline return without a declared spec")
-            out.extend(_return_stmts(spec, stmt.value))
+            out.extend(_return_stmts(spec))
             index += 1
             continue
         tail = None
@@ -434,18 +400,11 @@ def apply_inline(ctx: LintContext, stmts: List[ast.stmt],
         raise SubstitutionError(f"inline source module {relpath!r} not found")
     body = _function_body(source.tree, qualname)
 
-    prelude: List[ast.stmt] = []
-    for param, spec in (opts.get("bind") or {}).items():
-        if isinstance(spec, tuple):
-            local, expr_code = spec
-            prelude.append(ast.parse(f"{local} = {expr_code}").body[0])
-            if local != param:
-                apply_rename(body, param, local)
-        elif spec != param:
-            apply_expr_rewrite(body, ast.Name(id=param, ctx=ast.Load()),
-                               parse_expr(spec))
-    for old, new in (opts.get("rename") or {}).items():
-        apply_rename(body, old, new)
+    for param, expr_code in (opts.get("bind") or {}).items():
+        apply_expr_rewrite(body, ast.Name(id=param, ctx=ast.Load()),
+                           parse_expr(expr_code))
+    prelude = [ast.parse(f"{param} = {expr_code}").body[0]
+               for param, expr_code in (opts.get("assign") or {}).items()]
 
     returns: List[ast.Return] = []
     _collect_returns(body, returns)
@@ -458,10 +417,6 @@ def apply_inline(ctx: LintContext, stmts: List[ast.stmt],
     spec_of = {id(node): spec for node, spec in zip(returns, specs)}
     body = _apply_return_specs(body, spec_of)
     body = prelude + body
-    if opts.get("prelude"):
-        body = parse_stmts(opts["prelude"]) + body
-    if opts.get("tail"):
-        body = body + parse_stmts(opts["tail"])
 
     pattern = parse_stmts(pattern_code)
     template = parse_stmts(template_code)
@@ -536,57 +491,15 @@ def apply_unroll(stmts: List[ast.stmt], var: str,
 # ---------------------------------------------------------- normalization
 
 class _Normalizer(ast.NodeTransformer):
-    """Strip docstrings, decay AnnAssign, fold constant branches."""
-
-    def visit_Expr(self, node: ast.Expr):
-        self.generic_visit(node)
-        if isinstance(node.value, ast.Constant) \
-                and isinstance(node.value.value, str):
-            return None
-        return node
-
-    def visit_AnnAssign(self, node: ast.AnnAssign):
-        self.generic_visit(node)
-        if node.value is None:
-            return None
-        return ast.copy_location(
-            ast.Assign(targets=[node.target], value=node.value), node)
-
-    def visit_UnaryOp(self, node: ast.UnaryOp):
-        self.generic_visit(node)
-        if isinstance(node.op, ast.Not) \
-                and isinstance(node.operand, ast.Constant) \
-                and isinstance(node.operand.value, bool):
-            return ast.copy_location(
-                ast.Constant(value=not node.operand.value), node)
-        return node
+    """Drop ``True`` operands from ``and`` chains (``False`` from ``or``):
+    the residue of folding a key flag to a literal inside a condition."""
 
     def visit_BoolOp(self, node: ast.BoolOp):
         self.generic_visit(node)
-        is_and = isinstance(node.op, ast.And)
-        values: List[ast.expr] = []
-        for value in node.values:
-            if isinstance(value, ast.Constant) \
-                    and isinstance(value.value, bool):
-                if value.value is is_and:
-                    continue            # neutral element: drop
-                return ast.copy_location(
-                    ast.Constant(value=not is_and), node)
-            values.append(value)
-        if not values:
-            return ast.copy_location(ast.Constant(value=is_and), node)
-        if len(values) == 1:
-            return values[0]
-        node.values = values
-        return node
-
-    def visit_If(self, node: ast.If):
-        self.generic_visit(node)
-        if isinstance(node.test, ast.Constant) \
-                and isinstance(node.test.value, bool):
-            return node.body if node.test.value else node.orelse
-        if not node.body:
-            node.body = [ast.Pass()]
+        neutral = isinstance(node.op, ast.And)
+        node.values = [value for value in node.values
+                       if not (isinstance(value, ast.Constant)
+                               and value.value is neutral)]
         return node
 
 
@@ -648,9 +561,8 @@ def generated_kernels(ctx: LintContext):
     """One ``(label, key, source)`` per kernel coverage class, memoized.
 
     The classes mirror the key facts that gate whole regions of emitted
-    code: runahead on/off, macro speculation on/off, and the minimal
-    single-thread shape — together they exercise every emitter branch
-    worth keeping hygienic.
+    code: runahead on/off and the minimal single-thread shape — together
+    they exercise every emitter branch worth keeping hygienic.
     """
     cached = getattr(ctx, "_tiersync_kernels", None)
     if cached is not None:
@@ -664,10 +576,8 @@ def generated_kernels(ctx: LintContext):
         ("full", key),
         ("no-runahead", key._replace(uses_runahead=False, ra_fp_inval=False,
                                      num_threads=2)),
-        ("macro-off", key._replace(macro_spec=False, has_macro_ok=False)),
         ("minimal", key._replace(num_threads=1, uses_runahead=False,
-                                 ra_fp_inval=False, macro_spec=False,
-                                 has_on_cycle=False, has_macro_ok=False,
+                                 ra_fp_inval=False, has_on_cycle=False,
                                  skip_enabled=False)),
     )
     kernels = []
@@ -683,9 +593,9 @@ def generated_kernels(ctx: LintContext):
 
 def _op_summary(op: Tuple) -> str:
     kind = op[0]
-    if kind in ("rename", "expr", "kexpr"):
+    if kind in ("rename", "expr"):
         return f"{kind} {op[1]!r} -> {op[2]!r}"
-    if kind in ("stmt", "kstmt"):
+    if kind == "stmt":
         snippet = textwrap.dedent(op[1]).strip().splitlines()
         head = snippet[0] if snippet else ""
         return f"{kind} rewrite starting {head!r}"
@@ -698,8 +608,8 @@ def _op_summary(op: Tuple) -> str:
     return kind
 
 
-def _apply_ops(ctx: LintContext, frag: Dict, src_stmts: List[ast.stmt],
-               ker_stmts: List[ast.stmt]) -> None:
+def _apply_ops(ctx: LintContext, frag: Dict,
+               src_stmts: List[ast.stmt]) -> None:
     for index, op in enumerate(frag.get("subs", ())):
         kind = op[0]
         count = 1
@@ -708,14 +618,8 @@ def _apply_ops(ctx: LintContext, frag: Dict, src_stmts: List[ast.stmt],
         elif kind == "expr":
             count = apply_expr_rewrite(src_stmts, parse_expr(op[1]),
                                        parse_expr(op[2]))
-        elif kind == "kexpr":
-            count = apply_expr_rewrite(ker_stmts, parse_expr(op[1]),
-                                       parse_expr(op[2]))
         elif kind == "stmt":
             count = apply_stmt_rewrite(src_stmts, parse_stmts(op[1]),
-                                       parse_stmts(op[2]))
-        elif kind == "kstmt":
-            count = apply_stmt_rewrite(ker_stmts, parse_stmts(op[1]),
                                        parse_stmts(op[2]))
         elif kind == "inline":
             count = apply_inline(ctx, src_stmts, op[1], op[2], op[3],
@@ -832,7 +736,7 @@ class TierSyncRule(Rule):
                                      f"capture emitter output: {exc}"))]
         src_stmts = _function_body(source.tree, src_qual)
         try:
-            _apply_ops(ctx, frag, src_stmts, ker_stmts)
+            _apply_ops(ctx, frag, src_stmts)
         except SubstitutionError as exc:
             return [Finding(
                 rule=self.name, path=src_rel, line=src_line,

@@ -8,7 +8,8 @@ trace generation memoized outside the timer), once with the event-driven
 cycle-skipping fast path enabled and once with it disabled, so every
 report carries its own skip-attribution.
 
-Reports are JSON documents (``BENCH_<rev>.json``) with a *calibration
+Reports are JSON documents (``BENCH_<rev>.json``, ``BENCH_<rev>-dirty.json``
+when ``src/`` has uncommitted changes) with a *calibration
 constant* — the wall time of a fixed pure-Python integer loop on the
 same interpreter — so two reports from different machines can be
 compared through their calibration-normalized times instead of raw
@@ -217,17 +218,12 @@ def time_cell(cell: BenchCell, cycle_skip: bool = True,
                 os.environ.pop(KERNEL_ENV_VAR, None)
             else:
                 os.environ[KERNEL_ENV_VAR] = saved_kernel
-    gstats = pipeline.gstats
     return {
         "seconds": best,
         "cycles": result.cycles,
         "committed": result.total_committed,
         "skipped_cycles": pipeline.skipped_cycles,
         "skip_jumps": pipeline.skip_jumps,
-        "macro_steps": gstats.macro_steps,
-        "macro_insts": gstats.macro_insts,
-        "macro_guard_aborts": gstats.macro_guard_aborts,
-        "macro_abort_causes": dict(gstats.macro_abort_causes),
     }
 
 
@@ -248,6 +244,30 @@ def current_revision() -> str:
     return "unknown"
 
 
+def tree_dirty() -> Optional[bool]:
+    """Does ``src/`` differ from ``HEAD`` (``git status --porcelain``)?
+
+    ``None`` outside a git checkout.  A report timed on a dirty tree
+    measures code that its revision alone does not name.
+    """
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain", "--", "."],
+            capture_output=True, text=True, timeout=10,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        if out.returncode == 0:
+            return bool(out.stdout.strip())
+    except (OSError, subprocess.SubprocessError):
+        pass
+    return None
+
+
+def revision_label(report: Dict) -> str:
+    """The report's revision, suffixed ``-dirty`` for a dirty tree."""
+    suffix = "-dirty" if report.get("dirty") else ""
+    return f"{report.get('revision', 'unknown')}{suffix}"
+
+
 def run_bench(quick: bool = False, repeats: int = 3,
               measure_noskip: bool = True, compare_kernels: bool = False,
               progress=None) -> Dict:
@@ -265,6 +285,7 @@ def run_bench(quick: bool = False, repeats: int = 3,
     report: Dict = {
         "schema": BENCH_SCHEMA,
         "revision": current_revision(),
+        "dirty": tree_dirty(),
         "quick": quick,
         "repeats": repeats,
         "python": platform.python_version(),
@@ -296,12 +317,6 @@ def run_bench(quick: bool = False, repeats: int = 3,
                               if cycles > 0 else 0.0),
             "sim_cycles_per_second": (cycles / seconds
                                       if seconds > 0 else 0.0),
-            # Macro-step speculation accounting (zeros under
-            # REPRO_SPECULATE=off or policies without the opt-in hook).
-            "macro_steps": timed["macro_steps"],
-            "macro_insts": timed["macro_insts"],
-            "macro_guard_aborts": timed["macro_guard_aborts"],
-            "macro_abort_causes": timed["macro_abort_causes"],
         }
         if measure_noskip:
             reference = time_cell(cell, cycle_skip=False, repeats=repeats)
@@ -318,10 +333,6 @@ def run_bench(quick: bool = False, repeats: int = 3,
         if progress is not None:
             note = (f"  {cell.id}: {entry['seconds']:.3f}s "
                     f"({entry['skip_fraction']:.0%} cycles skipped")
-            if entry["macro_steps"]:
-                note += (f", {entry['macro_insts']} insts in "
-                         f"{entry['macro_steps']} macro-steps, "
-                         f"{entry['macro_guard_aborts']} guard aborts")
             if measure_noskip:
                 note += f", {entry['speedup_vs_noskip']:.2f}x vs no-skip"
             if compare_kernels:
@@ -332,26 +343,19 @@ def run_bench(quick: bool = False, repeats: int = 3,
 
 def render_report(report: Dict) -> str:
     """Human-readable table of a report."""
-    lines = [f"repro bench @ {report['revision']} "
+    lines = [f"repro bench @ {revision_label(report)} "
              f"(python {report['python']}, "
              f"calibration {report['calibration_seconds'] * 1e3:.1f} ms, "
              f"best of {report['repeats']})",
              f"{'cell':14s} {'policy':7s} {'thr':>3s} {'seconds':>8s} "
-             f"{'Mcyc/s':>7s} {'skipped':>8s} {'macro':>7s} {'aborts':>7s} "
-             f"{'vs-noskip':>9s}"]
+             f"{'Mcyc/s':>7s} {'skipped':>8s} {'vs-noskip':>9s}"]
     for cell_id, entry in report["cells"].items():
         speedup = entry.get("speedup_vs_noskip")
-        # Reports predating the speculation layer lack the macro columns.
-        macro_insts = entry.get("macro_insts")
-        aborts = entry.get("macro_guard_aborts")
         lines.append(
             f"{cell_id:14s} {entry['policy']:7s} {entry['threads']:3d} "
             f"{entry['seconds']:8.3f} "
             f"{entry['sim_cycles_per_second'] / 1e6:7.2f} "
             f"{entry['skip_fraction']:8.0%} "
-            + (f"{macro_insts:7d} " if macro_insts is not None
-               else f"{'-':>7s} ")
-            + (f"{aborts:7d} " if aborts is not None else f"{'-':>7s} ")
             + (f"{speedup:8.2f}x" if speedup is not None else
                f"{'-':>9s}"))
     return "\n".join(lines)
@@ -426,14 +430,14 @@ def compare_summary(report: Dict, reference: Dict) -> List[str]:
 
 
 def write_report(report: Dict, path: Optional[str] = None) -> str:
-    """Write ``BENCH_<rev>.json`` (or ``path``); returns the path.
+    """Write ``BENCH_<rev>[-dirty].json`` (or ``path``); returns the path.
 
     Uses the store's atomic temp-file + replace protocol so an
     interrupted bench run can never leave a torn report where CI's
     ``--check`` would read it.
     """
     if path is None:
-        path = f"BENCH_{report['revision']}.json"
+        path = f"BENCH_{revision_label(report)}.json"
     from .sim.store import atomic_write_json
     atomic_write_json(path, report, indent=2, trailing_newline=True)
     return path

@@ -54,7 +54,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .config import KERNEL_ENV_VAR, SPECULATE_ENV_VAR, baseline
+from .config import KERNEL_ENV_VAR, baseline
 from .errors import ManifestError
 from .experiments import Campaign, ExhibitContext, exhibit_names
 from .experiments.common import RENDER_FORMATS
@@ -152,50 +152,29 @@ def build_parser() -> argparse.ArgumentParser:
                              "DIR/<exhibit>.<ext> in the chosen format")
     parser.add_argument("--no-progress", action="store_true",
                         help="suppress per-cell progress output")
-    _add_speculate_argument(parser)
     _add_kernel_argument(parser)
     return parser
 
 
-def _add_speculate_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--speculate", choices=("on", "off", "auto"),
-                        default=None,
-                        help="macro-step speculation over the dispatch "
-                             "hot loop: 'auto' (default; on, with a "
-                             "conservative veto for policies without "
-                             "the macro_step_ok opt-in), 'on' (trust "
-                             "the bit-identity contract even for opaque "
-                             "policies), 'off' (per-stage path only). "
-                             "Sets REPRO_SPECULATE for this invocation, "
-                             "workers included; results are "
-                             "bit-identical in every mode")
-
-
 def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", choices=("auto", "python", "specialized"),
+    parser.add_argument("--kernel", choices=("auto", "python"),
                         default=None,
                         help="run-loop tier driving each cell: 'auto' "
                              "(default; the config-folded specialized "
                              "kernel where the machine shape is covered, "
-                             "the portable loop elsewhere), 'python' "
-                             "(portable loop always), 'specialized' "
-                             "(request the compiled kernel; uncovered "
-                             "shapes still fall back, never error). "
-                             "Sets REPRO_KERNEL for this invocation, "
-                             "workers included; results are "
-                             "bit-identical in every tier")
+                             "the portable loop elsewhere) or 'python' "
+                             "(portable loop always). Sets REPRO_KERNEL "
+                             "for this invocation, workers included; "
+                             "results are bit-identical in every tier")
 
 
-def _apply_speculate(args: argparse.Namespace) -> None:
-    """Propagate --speculate / --kernel through the environment knobs.
+def _apply_kernel(args: argparse.Namespace) -> None:
+    """Propagate --kernel through the ``REPRO_KERNEL`` environment knob.
 
-    Both switches are env vars rather than SMTConfig fields (see
-    :func:`repro.config.speculation_mode` /
-    :func:`repro.config.kernel_mode`), so exporting them here covers
-    the in-process engine and every spawned --jobs worker alike.
+    The switch is an env var rather than an SMTConfig field (see
+    :func:`repro.config.kernel_mode`), so exporting it here covers the
+    in-process engine and every spawned --jobs worker alike.
     """
-    if getattr(args, "speculate", None):
-        os.environ[SPECULATE_ENV_VAR] = args.speculate
     if getattr(args, "kernel", None):
         os.environ[KERNEL_ENV_VAR] = args.kernel
 
@@ -394,7 +373,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
                              "seconds_python/kernel_speedup per cell "
                              "(same-session evidence for the "
                              "specialized tier)")
-    _add_speculate_argument(parser)
     _add_kernel_argument(parser)
     return parser
 
@@ -402,7 +380,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
 def bench_main(argv: List[str]) -> int:
     from . import bench
     args = build_bench_parser().parse_args(argv)
-    _apply_speculate(args)
+    _apply_kernel(args)
     print(f"[bench] timing {len(bench.bench_cells(args.quick))} cells "
           f"(repeats={args.repeats}"
           f"{', quick' if args.quick else ''})", file=sys.stderr)
@@ -428,6 +406,8 @@ def bench_main(argv: List[str]) -> int:
         drift = bench.calibration_drift_warning(report, reference)
         if drift:
             print(drift, file=sys.stderr)
+        print(f"[{label}] this run @ {bench.revision_label(report)} vs "
+              f"{reference_path} @ {bench.revision_label(reference)}")
         for line in bench.compare_summary(report, reference):
             print(line)
         if label == "check":
@@ -531,7 +511,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] in SUBCOMMANDS:
         return SUBCOMMANDS[argv[0]](argv[1:])
     args = build_parser().parse_args(argv)
-    _apply_speculate(args)
+    _apply_kernel(args)
     if args.shard is not None and not args.cache_dir:
         print("repro-smt: error: --shard needs a shared --cache-dir — "
               "a shard's results are only useful in a store the "

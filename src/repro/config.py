@@ -30,67 +30,30 @@ from typing import Dict, Tuple
 
 from .errors import ConfigError
 
-#: Environment switch for the macro-step speculation layer (the guarded
-#: software-JIT fast path over the dispatch hot loop; see
-#: :mod:`repro.core.pipeline`).  Values: ``on`` / ``off`` / ``auto``.
-SPECULATE_ENV_VAR = "REPRO_SPECULATE"
+#: Environment switch for the simulation-kernel tier (which
+#: implementation of the pipeline run loop drives a cell; see
+#: :mod:`repro.sim.kernels`).  Values: ``auto`` / ``python``.
+KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-_SPECULATE_MODES = ("on", "off", "auto")
+_KERNEL_MODES = ("auto", "python")
 
 
-def speculation_mode() -> str:
-    """Resolve the macro-step speculation switch: ``on|off|auto``.
+def kernel_mode() -> str:
+    """Resolve the kernel-tier switch: ``auto|python``.
 
-    * ``off`` — the layer is disabled; every instruction takes the
-      per-stage path (the CI fallback leg pins this).
-    * ``auto`` (default) — enabled, except for *opaque* policies (ones
-      that override per-cycle/event accounting without declaring the
-      :meth:`~repro.policies.base.FetchPolicy.macro_step_ok` contract),
-      which get a conservative veto.
-    * ``on`` — enabled even for opaque policies (the fused path is
-      bit-identical by construction; this trusts that over the opt-in).
+    * ``python`` — the portable pure-Python run loop (the fallback tier
+      every other tier must match bit for bit).
+    * ``auto`` (default) — the source-generating specializer
+      (:mod:`repro.core.kernel_gen`): a run loop compiled per (config
+      shape x policy class) with the machine constants folded in.  A
+      policy/config the generator does not cover falls back to the
+      python tier — selection is a request, never an error.
 
     Deliberately an environment knob rather than an :class:`SMTConfig`
     field: the frozen config's ``to_dict`` is the canonical cache-key
     encoding, and a new field would re-key every cached cell for a
     switch that — by the bit-identity contract — cannot change any
     result.  No cache salt bump is needed for the same reason.
-    """
-    value = os.environ.get(SPECULATE_ENV_VAR, "auto").strip().lower()
-    if value not in _SPECULATE_MODES:
-        raise ConfigError(
-            f"{SPECULATE_ENV_VAR} must be one of {_SPECULATE_MODES}, "
-            f"got {value!r}")
-    return value
-
-#: Environment switch for the simulation-kernel tier (which
-#: implementation of the pipeline run loop drives a cell; see
-#: :mod:`repro.sim.kernels`).  Values: ``auto`` / ``python`` /
-#: ``specialized``.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-_KERNEL_MODES = ("auto", "python", "specialized")
-
-
-def kernel_mode() -> str:
-    """Resolve the kernel-tier switch: ``auto|python|specialized``.
-
-    * ``python`` — the portable pure-Python run loop (the fallback tier
-      every other tier must match bit for bit).
-    * ``specialized`` — request the source-generating specializer
-      (:mod:`repro.core.kernel_gen`): a run loop compiled per (config
-      shape x policy class) with the machine constants folded in.  A
-      policy/config the generator does not cover still falls back to
-      the python tier — selection is a request, never an error.
-    * ``auto`` (default) — ``specialized`` where covered, ``python``
-      elsewhere.
-
-    Deliberately an environment knob rather than an :class:`SMTConfig`
-    field, exactly like :func:`speculation_mode`: the frozen config's
-    ``to_dict`` is the canonical cache-key encoding, and a new field
-    would re-key every cached cell for a switch that — by the
-    bit-identity contract — cannot change any result.  No cache salt
-    bump is needed for the same reason.
     """
     value = os.environ.get(KERNEL_ENV_VAR, "auto").strip().lower()
     if value not in _KERNEL_MODES:

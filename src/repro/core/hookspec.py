@@ -1,21 +1,14 @@
-"""The policy opt-in hook contracts, as one shared classifier.
+"""The policy opt-in hook contract, as one shared classifier.
 
-Two pipeline fast paths are gated on *opt-in declarations* from the
-fetch policy:
+Cycle skipping (:meth:`SMTPipeline.advance
+<repro.core.pipeline.SMTPipeline.advance>`) is gated on an *opt-in
+declaration* from the fetch policy: it trusts a policy's
+:meth:`~repro.policies.base.FetchPolicy.skip_horizon` only when whoever
+last overrode :meth:`~repro.policies.base.FetchPolicy.on_cycle` also
+(re)declared the horizon — otherwise skipping could jump over cycles the
+policy needed to observe.
 
-* **cycle skipping** (:meth:`SMTPipeline.advance
-  <repro.core.pipeline.SMTPipeline.advance>`) trusts a policy's
-  :meth:`~repro.policies.base.FetchPolicy.skip_horizon` only when
-  whoever last overrode :meth:`~repro.policies.base.FetchPolicy.on_cycle`
-  also (re)declared the horizon — otherwise skipping could jump over
-  cycles the policy needed to observe;
-* **macro-step speculation** (``SMTPipeline._macro_dispatch`` under
-  ``REPRO_SPECULATE=auto``) trusts
-  :meth:`~repro.policies.base.FetchPolicy.macro_step_ok` only when
-  whoever last overrode the accounting hooks (:meth:`on_cycle` /
-  :meth:`on_l2_miss_detected`) also (re)declared the macro contract.
-
-Both are the same question over a class hierarchy: *walking from the
+That is a question over a class hierarchy: *walking from the
 most-derived class towards the base, does a contract declaration appear
 at or before the first trigger override?*  :func:`contract_covers`
 answers it over an abstract definition chain, so the exact same logic
@@ -39,10 +32,6 @@ from typing import Iterable, List, Set, Tuple
 #: Contract / trigger attribute names for the cycle-skipping opt-in.
 HORIZON_CONTRACT: Tuple[str, ...] = ("skip_horizon",)
 HORIZON_TRIGGERS: Tuple[str, ...] = ("on_cycle",)
-
-#: Contract / trigger attribute names for the macro-step opt-in.
-MACRO_CONTRACT: Tuple[str, ...] = ("macro_step_ok",)
-MACRO_TRIGGERS: Tuple[str, ...] = ("on_cycle", "on_l2_miss_detected")
 
 
 def contract_covers(defined_chain: Iterable[Set[str]],
@@ -82,12 +71,6 @@ def horizon_covers_on_cycle(policy_type: type) -> bool:
                            HORIZON_CONTRACT, HORIZON_TRIGGERS)
 
 
-def macro_covers_policy(policy_type: type) -> bool:
-    """May fused dispatch run for this policy under ``REPRO_SPECULATE=auto``?"""
-    return contract_covers(mro_defined_chain(policy_type),
-                           MACRO_CONTRACT, MACRO_TRIGGERS)
-
-
 #: Package whose policy classes the specialized kernel tier was
 #: validated against (the bit-identity suites run over the registry).
 KERNEL_POLICY_PACKAGE = "repro.policies"
@@ -99,14 +82,14 @@ KERNEL_POLICY_PACKAGE = "repro.policies"
 #: so coverage is refused and selection falls back to the python tier.
 KERNEL_HOOK_SURFACE: Tuple[str, ...] = (
     "attach", "fetch_order", "on_cycle", "on_l2_miss_detected",
-    "macro_step_ok", "skip_horizon", "uses_runahead",
+    "skip_horizon", "uses_runahead",
 )
 
 
 def kernel_covers_policy(policy_type: type) -> bool:
     """May the specialized kernel tier drive a cell with this policy?
 
-    Same conservative philosophy as the macro auto-veto: a third-party
+    Same conservative philosophy as the cycle-skip opt-in: a third-party
     subclass is never an error, it simply keeps the portable python run
     loop.  Coverage requires that every class defining (or overriding)
     a name in :data:`KERNEL_HOOK_SURFACE` lives inside

@@ -8,12 +8,11 @@ pipeline of a given machine shape pays one source emission +
 repeated runs in the same process — reuses the compiled loop.  Worker
 processes of the process-pool executor each hold their own cache,
 warmed by their first cell (the kernel-tier request travels to workers
-via the ``REPRO_KERNEL`` environment knob, exactly like
-``REPRO_SPECULATE``).
+via the ``REPRO_KERNEL`` environment knob).
 
 The cache key deliberately excludes the policy *class*: only the folded
-policy facts in the key (runahead use, hook presence, macro/skip
-eligibility) shape the emitted source, so e.g. two icount-family
+policy facts in the key (runahead use, hook presence, skip eligibility)
+shape the emitted source, so e.g. two icount-family
 policies of identical shape share one kernel.
 """
 

@@ -1,10 +1,9 @@
 """Specialized kernel generation: config-folded pipeline run loops.
 
-This is the :mod:`repro.core.macro_jit` idea scaled from one dispatch
-run to the whole FAME hot loop.  For a given *machine shape* — the
-config scalars the stage loops read every cycle, plus the folded policy
-facts the pipeline derives at construction — :func:`emit_kernel_source`
-emits Python source for a complete ``run``-equivalent loop with:
+For a given *machine shape* — the config scalars the stage loops read
+every cycle, plus the folded policy facts the pipeline derives at
+construction — :func:`emit_kernel_source` emits Python source for a
+complete ``run``-equivalent loop with:
 
 * the per-cycle ``step()``/``advance()``/stage dispatch collapsed into
   one loop body (no bound-method calls between stages);
@@ -16,15 +15,14 @@ emits Python source for a complete ``run``-equivalent loop with:
   rotation index becomes ``now & (NT-1)`` for power-of-two NT);
 * policy hook presence resolved at generation time: a policy without
   ``on_cycle`` loses the per-cycle test entirely, a machine without
-  runahead loses every ``thread.mode`` branch, speculation-off kernels
-  carry no macro-dispatch code at all;
+  runahead loses every ``thread.mode`` branch;
 * the event-table call elided on cycles with no due bucket (sound
   because every ``_events`` key is pushed into ``_event_heap`` on
   bucket creation, and a call with no due bucket mutates nothing).
 
-Correctness contract (same as the macro JIT): the emitted body is a
-statement-for-statement transcription of ``SMTPipeline.step`` /
-``advance`` and the stage bodies with constants folded — it must leave
+Correctness contract: the emitted body is a statement-for-statement
+transcription of ``SMTPipeline.step`` / ``advance`` and the stage
+bodies with constants folded — it must leave
 bit-identical machine state and raise the same errors at the same
 cycles.  Cold paths (event processing on due cycles, per-instruction
 dispatch, folds, runahead transitions, misprediction repair, the skip
@@ -52,13 +50,13 @@ from ..isa import (IS_FP_BY_CODE, NO_REG, NUM_INT_ARCH_REGS,
 from .dyninst import DynInst, InstState
 from .hookspec import kernel_covers_policy
 from .regfile import NEVER
-from .thread import ThreadMode, build_macro_plan
-from .macro_jit import compile_macro_handler
+from .thread import ThreadMode
 from . import pipeline as pipeline_mod
 
 #: Threads beyond this fall back to the python tier: the termination
-#: test, stat sampler and rotation tables are unrolled per thread, and
-#: the validated envelope (golden cells + fuzz suites) stops at 4.
+#: test, stat sampler and rotation tables are unrolled per thread.  The
+#: golden cells cover 1/2/4 threads; the advance-vs-step fuzz and the
+#: tier-parity suite add 3, 5, 6 and 8.
 MAX_THREADS = 8
 
 
@@ -69,10 +67,10 @@ class KernelKey(NamedTuple):
     after construction) or a pipeline fact derived once in
     ``SMTPipeline.__init__`` from the policy class/knobs.  Two pipelines
     with equal keys can share one compiled kernel; nothing run-specific
-    may appear here.  ``macro_spec``/``skip_enabled`` are technically
-    mutable pipeline flags — the kernel resolver re-reads them per
-    ``run()`` call, so flipping them between runs selects a different
-    kernel rather than invalidating this one.
+    may appear here.  ``skip_enabled`` is technically a mutable
+    pipeline flag — the kernel resolver re-reads it per ``run()`` call,
+    so flipping it between runs selects a different kernel rather than
+    invalidating this one.
     """
 
     num_threads: int
@@ -87,9 +85,7 @@ class KernelKey(NamedTuple):
     fu_caps: Tuple[int, int, int]
     uses_runahead: bool
     ra_fp_inval: bool
-    macro_spec: bool
     has_on_cycle: bool
-    has_macro_ok: bool
     skip_enabled: bool
 
 
@@ -115,9 +111,7 @@ def specialization_key(pipeline) -> Optional[KernelKey]:
         fu_caps=(fus._capacity[0], fus._capacity[1], fus._capacity[2]),
         uses_runahead=pipeline._uses_runahead,
         ra_fp_inval=pipeline._ra_fp_inval,
-        macro_spec=pipeline.macro_spec,
         has_on_cycle=pipeline._policy_on_cycle is not None,
-        has_macro_ok=pipeline._macro_step_ok is not None,
         skip_enabled=bool(pipeline.cycle_skip and pipeline._policy_skip_ok),
     )
 
@@ -125,10 +119,8 @@ def specialization_key(pipeline) -> Optional[KernelKey]:
 def kernel_namespace() -> dict:
     """The globals dict a generated kernel executes against.
 
-    Shares the *same objects* the interpreter tier uses — enum members
-    compare by identity, ``PLAN_MISSING`` is the pipeline module's
-    sentinel, and the JIT thresholds are read through ``pipeline_mod``
-    so tests that patch them reach compiled kernels too.
+    Shares the *same objects* the interpreter tier uses, so enum
+    members compare by identity.
     """
     return {
         "DynInst": DynInst,
@@ -149,11 +141,7 @@ def kernel_namespace() -> dict:
         "SQUASHED": InstState.SQUASHED,
         "RUNAHEAD_MODE": ThreadMode.RUNAHEAD,
         "NORMAL_MODE": ThreadMode.NORMAL,
-        "PLAN_MISSING": pipeline_mod._PLAN_MISSING,
         "DEADLOCK_WINDOW": pipeline_mod._DEADLOCK_WINDOW,
-        "build_macro_plan": build_macro_plan,
-        "compile_macro_handler": compile_macro_handler,
-        "pipeline_mod": pipeline_mod,
         "inst_age": operator.attrgetter("gseq"),
     }
 
@@ -208,8 +196,6 @@ def _emit_hoists(key: KernelKey, emit) -> None:
     emit("    fetch_order = pipeline.policy.fetch_order")
     if key.has_on_cycle:
         emit("    policy_on_cycle = pipeline._policy_on_cycle")
-    if key.has_macro_ok:
-        emit("    macro_ok = pipeline._macro_step_ok")
     emit("    fold = pipeline._fold")
     emit("    drain_folds = pipeline._drain_folds")
     emit("    release_preg = pipeline._release_preg")
@@ -241,8 +227,6 @@ def _emit_hoists(key: KernelKey, emit) -> None:
         emit("    ra_mode = RUNAHEAD_MODE")
         emit("    normal_mode = NORMAL_MODE")
     emit("    never = NEVER")
-    if key.macro_spec:
-        emit("    plan_missing = PLAN_MISSING")
     emit("    op_latency = OP_LATENCY_BY_CODE")
     emit("    op_queue = OP_QUEUE_BY_CODE")
     if key.uses_runahead:
@@ -605,382 +589,6 @@ def _emit_issue(key: KernelKey, emit) -> None:
     emit("            drain_folds(now)")
 
 
-def _emit_macro(key: KernelKey, emit) -> None:
-    """Inlined ``_macro_dispatch``: guards, JIT tiers, both fused loops.
-
-    Structured as a single-pass ``while plan is not None`` block so
-    every abort path can ``break`` to the per-instruction fallback, the
-    exact fall-through semantics of the out-of-line version.
-    """
-    ur_drop = key.uses_runahead and key.ra_fp_inval
-    emit("            if dispatch_budget > 1 and len(fetch_queue) > 1:")
-    emit("                taken = 0")
-    emit("                start = fetch_queue[0].trace_index")
-    emit("                plans = thread.macro_plans")
-    emit("                plan = plans.get(start, plan_missing)")
-    emit("                if plan is plan_missing:")
-    emit(f"                    plan = build_macro_plan(thread, start, {key.width})")
-    emit("                    plans[start] = plan")
-    emit("                while plan is not None:")
-    emit("                    k = plan.length")
-    emit("                    qlen = len(fetch_queue)")
-    emit("                    if qlen < k:")
-    emit("                        k = qlen")
-    emit("                    if dispatch_budget < k:")
-    emit("                        k = dispatch_budget")
-    emit(f"                    headroom = {key.rob_capacity} - rob._occupancy")
-    emit("                    if headroom < k:")
-    emit("                        if headroom < 2:")
-    emit("                            gstats.macro_guard_aborts += 1")
-    emit("                            causes = gstats.macro_abort_causes")
-    emit("                            causes[\"rob\"] = causes.get(\"rob\", 0) + 1")
-    emit("                            break")
-    emit("                        k = headroom")
-    if ur_drop:
-        emit("                    drop_active = thread.mode is ra_mode")
-        emit("                    demands = (plan.runahead_demand if drop_active")
-        emit("                               else plan.normal_demand)")
-    else:
-        emit("                    demands = plan.normal_demand")
-    emit(f"                    room_q0 = {key.iq_caps[0]} - q0.size")
-    emit(f"                    room_q1 = {key.iq_caps[1]} - q1.size")
-    emit(f"                    room_q2 = {key.iq_caps[2]} - q2.size")
-    emit("                    room_d0 = len(int_file._free)")
-    emit("                    room_d1 = len(fp_file._free)")
-    emit("                    need_q0, need_q1, need_q2, need_d0, need_d1 = demands[k]")
-    emit("                    if (need_q0 > room_q0 or need_q1 > room_q1")
-    emit("                            or need_q2 > room_q2 or need_d0 > room_d0")
-    emit("                            or need_d1 > room_d1):")
-    emit("                        while k > 2:")
-    emit("                            k -= 1")
-    emit("                            need_q0, need_q1, need_q2, need_d0, need_d1 = \\")
-    emit("                                demands[k]")
-    emit("                            if (need_q0 <= room_q0 and need_q1 <= room_q1")
-    emit("                                    and need_q2 <= room_q2")
-    emit("                                    and need_d0 <= room_d0")
-    emit("                                    and need_d1 <= room_d1):")
-    emit("                                break")
-    emit("                        else:")
-    emit("                            cause = (\"iq\" if (need_q0 > room_q0")
-    emit("                                              or need_q1 > room_q1")
-    emit("                                              or need_q2 > room_q2)")
-    emit("                                     else \"regfile\")")
-    emit("                            gstats.macro_guard_aborts += 1")
-    emit("                            causes = gstats.macro_abort_causes")
-    emit("                            causes[cause] = causes.get(cause, 0) + 1")
-    emit("                            break")
-    if key.has_macro_ok:
-        emit("                    if not macro_ok(thread, k, now):")
-        emit("                        gstats.macro_guard_aborts += 1")
-        emit("                        causes = gstats.macro_abort_causes")
-        emit("                        causes[\"policy\"] = causes.get(\"policy\", 0) + 1")
-        emit("                        break")
-    emit("                    if fetch_queue[k - 1].trace_index != start + k - 1:")
-    emit("                        gstats.macro_guard_aborts += 1")
-    emit("                        causes = gstats.macro_abort_causes")
-    emit("                        causes[\"desync\"] = causes.get(\"desync\", 0) + 1")
-    emit("                        break")
-    # --- JIT tiers (thresholds read through pipeline_mod so patched
-    # test values reach compiled kernels too) ---
-    drop_expr = "drop_active" if ur_drop else "False"
-    emit("                    if k == plan.length:")
-    if ur_drop:
-        emit("                        if drop_active:")
-        emit("                            handler = plan.jit_runahead")
-        emit("                            if handler is None:")
-        emit("                                hits = plan.hot_runahead = \\")
-        emit("                                    plan.hot_runahead + 1")
-        emit("                                if hits >= pipeline_mod._JIT_THRESHOLD:")
-        emit("                                    handler = plan.jit_runahead = (")
-        emit("                                        compile_macro_handler(plan, True))")
-        emit("                        else:")
-        emit("                            handler = plan.jit_normal")
-        emit("                            if handler is None:")
-        emit("                                hits = plan.hot_normal = \\")
-        emit("                                    plan.hot_normal + 1")
-        emit("                                if hits >= pipeline_mod._JIT_THRESHOLD:")
-        emit("                                    handler = plan.jit_normal = (")
-        emit("                                        compile_macro_handler(plan, False))")
-    else:
-        emit("                        handler = plan.jit_normal")
-        emit("                        if handler is None:")
-        emit("                            hits = plan.hot_normal = plan.hot_normal + 1")
-        emit("                            if hits >= pipeline_mod._JIT_THRESHOLD:")
-        emit("                                handler = plan.jit_normal = (")
-        emit("                                    compile_macro_handler(plan, False))")
-    emit("                        if handler is not None:")
-    emit("                            taken = handler(pipeline, thread, fetch_queue, now)")
-    emit("                            break")
-    emit("                    else:")
-    if ur_drop:
-        emit("                        prefix_key = ((k << 1) | 1 if drop_active")
-        emit("                                      else k << 1)")
-    else:
-        emit("                        prefix_key = k << 1")
-    emit("                        handler = plan.jit_prefix.get(prefix_key)")
-    emit("                        if handler is None:")
-    emit("                            hits = plan.hot_prefix.get(prefix_key, 0) + 1")
-    emit("                            if hits >= pipeline_mod._PREFIX_JIT_THRESHOLD:")
-    emit("                                handler = plan.jit_prefix[prefix_key] = (")
-    emit(f"                                    compile_macro_handler(plan, {drop_expr}, k))")
-    emit("                            else:")
-    emit("                                plan.hot_prefix[prefix_key] = hits")
-    emit("                        if handler is not None:")
-    emit("                            taken = handler(pipeline, thread, fetch_queue, now)")
-    emit("                            break")
-    # --- generic fused tier ---
-    emit("                    rob_queue = rob_queues[tid]")
-    emit("                    rename = thread.rename")
-    emit("                    front0 = rename.front[0]")
-    emit("                    front1 = rename.front[1]")
-    emit("                    arch_inv = thread.arch_inv")
-    emit("                    stats = thread.stats")
-    emit("                    plan_queues = plan.queues")
-    emit("                    plan_store = plan.is_store")
-    emit("                    plan_dest = plan.dest")
-    emit("                    plan_dk = plan.dest_klass")
-    emit("                    plan_dai = plan.dest_aidx")
-    emit("                    plan_s1 = plan.src1")
-    emit("                    plan_s2 = plan.src2")
-    emit("                    popleft = fetch_queue.popleft")
-    emit("                    alloc_int = 0")
-    emit("                    alloc_fp = 0")
-    if ur_drop:
-        emit("                    if drop_active:")
-        emit("                        plan_fp = plan.is_fp")
-        emit("                        arch0 = rename.arch[0]")
-        emit("                        arch1 = rename.arch[1]")
-        emit("                        for position in range(k):")
-        emit("                            inst = popleft()")
-        emit("                            rob_queue.append(inst)")
-        emit("                            if plan_fp[position]:")
-        emit("                                inst.state = completed_state")
-        emit("                                inst.invalid = True")
-        emit("                                inst.complete_cycle = now")
-        emit("                                if inst.counted:")
-        emit("                                    inst.counted = False")
-        emit("                                    thread.icount -= 1")
-        emit("                                dest_arch = plan_dest[position]")
-        emit("                                if dest_arch >= 0:")
-        emit("                                    arch_inv[dest_arch] = True")
-        emit("                                stats.folded += 1")
-        emit("                                continue")
-        emit("                            inst.state = dispatched_state")
-        emit("                            pending = 0")
-        emit("                            mask = 0")
-        emit("                            arch = plan_s1[position]")
-        emit("                            if arch >= 0:")
-        emit("                                if arch_inv[arch]:")
-        emit("                                    mask = 1")
-        emit("                                else:")
-        emit("                                    if arch < nint:")
-        emit("                                        file = int_file")
-        emit("                                        preg = front0[arch]")
-        emit("                                    else:")
-        emit("                                        file = fp_file")
-        emit("                                        preg = front1[arch - nint]")
-        emit("                                    inst.psrc1 = preg")
-        emit("                                    if file.ready[preg] <= now:")
-        emit("                                        if file.inv[preg]:")
-        emit("                                            mask = 1")
-        emit("                                    else:")
-        emit("                                        file.waiters[preg].append(inst)")
-        emit("                                        pending = 1")
-        emit("                            arch = plan_s2[position]")
-        emit("                            if arch >= 0:")
-        emit("                                if arch_inv[arch]:")
-        emit("                                    mask |= 2")
-        emit("                                else:")
-        emit("                                    if arch < nint:")
-        emit("                                        file = int_file")
-        emit("                                        preg = front0[arch]")
-        emit("                                    else:")
-        emit("                                        file = fp_file")
-        emit("                                        preg = front1[arch - nint]")
-        emit("                                    inst.psrc2 = preg")
-        emit("                                    if file.ready[preg] <= now:")
-        emit("                                        if file.inv[preg]:")
-        emit("                                            mask |= 2")
-        emit("                                    else:")
-        emit("                                        file.waiters[preg].append(inst)")
-        emit("                                        pending += 1")
-        emit("                            if pending == 0 and ((mask & 1)")
-        emit("                                    if plan_store[position] else mask):")
-        emit("                                inst.src_inv_mask = mask")
-        emit("                                inst.invalid = True")
-        emit("                                inst.state = completed_state")
-        emit("                                inst.complete_cycle = now")
-        emit("                                if inst.counted:")
-        emit("                                    inst.counted = False")
-        emit("                                    thread.icount -= 1")
-        emit("                                stats.folded += 1")
-        emit("                                dest_arch = plan_dest[position]")
-        emit("                                if dest_arch >= 0:")
-        emit("                                    if plan_dk[position] == 0:")
-        emit("                                        file = int_file")
-        emit("                                        fmap = front0")
-        emit("                                        amap = arch0")
-        emit("                                    else:")
-        emit("                                        file = fp_file")
-        emit("                                        fmap = front1")
-        emit("                                        amap = arch1")
-        emit("                                    free = file._free")
-        emit("                                    preg = free[-1]")
-        emit("                                    used = file.size - len(free) + 1")
-        emit("                                    if used > file.high_water:")
-        emit("                                        file.high_water = used")
-        emit("                                    file.ready[preg] = now")
-        emit("                                    file.inv[preg] = True")
-        emit("                                    arch_index = plan_dai[position]")
-        emit("                                    inst.old_pdest = fmap[arch_index]")
-        emit("                                    fmap[arch_index] = amap[arch_index]")
-        emit("                                    arch_inv[dest_arch] = True")
-        emit("                                continue")
-        emit("                            if pending:")
-        emit("                                inst.pending_srcs = pending")
-        emit("                            if mask:")
-        emit("                                inst.src_inv_mask = mask")
-        emit("                            dest_arch = plan_dest[position]")
-        emit("                            if dest_arch >= 0:")
-        emit("                                if plan_dk[position] == 0:")
-        emit("                                    file = int_file")
-        emit("                                    fmap = front0")
-        emit("                                    alloc_int += 1")
-        emit("                                else:")
-        emit("                                    file = fp_file")
-        emit("                                    fmap = front1")
-        emit("                                    alloc_fp += 1")
-        emit("                                free = file._free")
-        emit("                                preg = free.pop()")
-        emit("                                file._allocated[preg] = True")
-        emit("                                file.ready[preg] = never")
-        emit("                                file.inv[preg] = False")
-        emit("                                file.pinned[preg] = False")
-        emit("                                used = file.size - len(free)")
-        emit("                                if used > file.high_water:")
-        emit("                                    file.high_water = used")
-        emit("                                arch_index = plan_dai[position]")
-        emit("                                inst.pdest = preg")
-        emit("                                inst.old_pdest = fmap[arch_index]")
-        emit("                                fmap[arch_index] = preg")
-        emit("                                arch_inv[dest_arch] = False")
-        emit("                            queue = queues[plan_queues[position]]")
-        emit("                            queue.size += 1")
-        emit("                            queue.per_thread[tid] += 1")
-        emit("                            inst.in_iq = True")
-        emit("                            if pending == 0:")
-        emit("                                inst.state = ready_state")
-        emit("                                queue._ready.append(inst)")
-        normal_indent = "                    else:"
-        emit(normal_indent)
-        loop_prefix = "                        "
-    else:
-        loop_prefix = "                    "
-    emit(loop_prefix + "for position in range(k):")
-    p = loop_prefix + "    "
-    emit(p + "inst = popleft()")
-    emit(p + "rob_queue.append(inst)")
-    emit(p + "inst.state = dispatched_state")
-    emit(p + "pending = 0")
-    emit(p + "mask = 0")
-    emit(p + "arch = plan_s1[position]")
-    emit(p + "if arch >= 0:")
-    emit(p + "    if arch_inv[arch]:")
-    emit(p + "        mask = 1")
-    emit(p + "    else:")
-    emit(p + "        if arch < nint:")
-    emit(p + "            file = int_file")
-    emit(p + "            preg = front0[arch]")
-    emit(p + "        else:")
-    emit(p + "            file = fp_file")
-    emit(p + "            preg = front1[arch - nint]")
-    emit(p + "        inst.psrc1 = preg")
-    emit(p + "        if file.ready[preg] <= now:")
-    emit(p + "            if file.inv[preg]:")
-    emit(p + "                mask = 1")
-    emit(p + "        else:")
-    emit(p + "            file.waiters[preg].append(inst)")
-    emit(p + "            pending = 1")
-    emit(p + "arch = plan_s2[position]")
-    emit(p + "if arch >= 0:")
-    emit(p + "    if arch_inv[arch]:")
-    emit(p + "        mask |= 2")
-    emit(p + "    else:")
-    emit(p + "        if arch < nint:")
-    emit(p + "            file = int_file")
-    emit(p + "            preg = front0[arch]")
-    emit(p + "        else:")
-    emit(p + "            file = fp_file")
-    emit(p + "            preg = front1[arch - nint]")
-    emit(p + "        inst.psrc2 = preg")
-    emit(p + "        if file.ready[preg] <= now:")
-    emit(p + "            if file.inv[preg]:")
-    emit(p + "                mask |= 2")
-    emit(p + "        else:")
-    emit(p + "            file.waiters[preg].append(inst)")
-    emit(p + "            pending += 1")
-    emit(p + "if pending:")
-    emit(p + "    inst.pending_srcs = pending")
-    emit(p + "if mask:")
-    emit(p + "    inst.src_inv_mask = mask")
-    emit(p + "dest_arch = plan_dest[position]")
-    emit(p + "if dest_arch >= 0:")
-    emit(p + "    if plan_dk[position] == 0:")
-    emit(p + "        file = int_file")
-    emit(p + "        fmap = front0")
-    emit(p + "        alloc_int += 1")
-    emit(p + "    else:")
-    emit(p + "        file = fp_file")
-    emit(p + "        fmap = front1")
-    emit(p + "        alloc_fp += 1")
-    emit(p + "    free = file._free")
-    emit(p + "    preg = free.pop()")
-    emit(p + "    file._allocated[preg] = True")
-    emit(p + "    file.ready[preg] = never")
-    emit(p + "    file.inv[preg] = False")
-    emit(p + "    file.pinned[preg] = False")
-    emit(p + "    used = file.size - len(free)")
-    emit(p + "    if used > file.high_water:")
-    emit(p + "        file.high_water = used")
-    emit(p + "    arch_index = plan_dai[position]")
-    emit(p + "    inst.pdest = preg")
-    emit(p + "    inst.old_pdest = fmap[arch_index]")
-    emit(p + "    fmap[arch_index] = preg")
-    emit(p + "    arch_inv[dest_arch] = False")
-    emit(p + "if pending == 0:")
-    emit(p + "    if (mask & 1) if plan_store[position] else mask:")
-    emit(p + "        fold(inst, now)")
-    emit(p + "        continue")
-    emit(p + "    queue = queues[plan_queues[position]]")
-    emit(p + "    queue.size += 1")
-    emit(p + "    queue.per_thread[tid] += 1")
-    emit(p + "    inst.in_iq = True")
-    emit(p + "    inst.state = ready_state")
-    emit(p + "    queue._ready.append(inst)")
-    emit(p + "else:")
-    emit(p + "    queue = queues[plan_queues[position]]")
-    emit(p + "    queue.size += 1")
-    emit(p + "    queue.per_thread[tid] += 1")
-    emit(p + "    inst.in_iq = True")
-    # --- batched counters ---
-    emit("                    rob._occupancy += k")
-    emit("                    rob_pt[tid] += k")
-    emit("                    thread.rob_held += k")
-    emit("                    stats.dispatched += k")
-    emit("                    if alloc_int:")
-    emit("                        thread.regs_held[0] += alloc_int")
-    emit("                    if alloc_fp:")
-    emit("                        thread.regs_held[1] += alloc_fp")
-    emit("                    gstats.macro_steps += 1")
-    emit("                    gstats.macro_insts += k")
-    emit("                    taken = k")
-    emit("                    break")
-    emit("                if taken:")
-    emit("                    dispatch_budget -= taken")
-    emit("                    if dispatch_budget <= 0:")
-    emit("                        break")
-
-
 def _emit_dispatch(key: KernelKey, emit) -> None:
     """Dispatch stage with ``_dispatch`` itself transcribed inline.
 
@@ -995,8 +603,6 @@ def _emit_dispatch(key: KernelKey, emit) -> None:
     emit(f"        for thread in {_rotation_expr(key)}:")
     emit("            fetch_queue = thread.fetch_queue")
     emit("            tid = thread.tid")
-    if key.macro_spec:
-        _emit_macro(key, emit)
     emit("            if dispatch_budget > 0 and fetch_queue:")
     emit("                robq = rob_queues[tid]")
     emit("                stats = thread.stats")
@@ -1339,9 +945,7 @@ TIERSYNC_KEY = KernelKey(
     fu_caps=(6, 5, 4),
     uses_runahead=True,
     ra_fp_inval=True,
-    macro_spec=True,
     has_on_cycle=True,
-    has_macro_ok=True,
     skip_enabled=True,
 )
 
@@ -1847,55 +1451,11 @@ def _tiersync_fragments(key: KernelKey) -> tuple:
             "emitter": "_emit_dispatch",
             "covers": (
                 ("core/pipeline.py", "SMTPipeline._dispatch_stage"),
-                ("core/pipeline.py", "SMTPipeline._macro_dispatch"),
-                ("core/pipeline.py", "SMTPipeline._macro_abort"),
                 ("core/pipeline.py", "SMTPipeline._dispatch"),
                 ("core/pipeline.py", "SMTPipeline._uncount"),
                 ("core/thread.py", "ThreadContext.note_arch_invalid"),
             ),
             "subs": [
-                # _macro_dispatch spliced at its call; guard-abort
-                # returns become breaks out of the single-pass
-                # `while plan is not None:` added further down, JIT
-                # dispatches and the generic tail set `taken` first.
-                ("inline", ("core/pipeline.py",
-                            "SMTPipeline._macro_dispatch"),
-                 "taken = self._macro_dispatch(thread, fetch_queue, now,"
-                 " budget)",
-                 "taken = 0\n"
-                 "__INLINE__",
-                 {"returns": [
-                     "break", "break", "break", "break", "break",
-                     "stmts:taken = handler(pipeline, thread,"
-                     " fetch_queue, now)\nbreak",
-                     "stmts:taken = handler(pipeline, thread,"
-                     " fetch_queue, now)\nbreak",
-                     "stmts:taken = k\nbreak"]}),
-                # _macro_abort spliced per cause (the cause argument is
-                # a literal at three sites, a conditional at the fourth).
-                ("inline", ("core/pipeline.py", "SMTPipeline._macro_abort"),
-                 "self._macro_abort('rob')",
-                 "__INLINE__",
-                 {"bind": {"cause": "'rob'"}, "returns": []}),
-                ("inline", ("core/pipeline.py", "SMTPipeline._macro_abort"),
-                 "self._macro_abort('iq' if need_q0 > room_q0"
-                 " or need_q1 > room_q1 or need_q2 > room_q2"
-                 " else 'regfile')",
-                 "__INLINE__",
-                 {"bind": {"cause": ("cause",
-                                     "'iq' if need_q0 > room_q0"
-                                     " or need_q1 > room_q1"
-                                     " or need_q2 > room_q2"
-                                     " else 'regfile'")},
-                  "returns": []}),
-                ("inline", ("core/pipeline.py", "SMTPipeline._macro_abort"),
-                 "self._macro_abort('policy')",
-                 "__INLINE__",
-                 {"bind": {"cause": "'policy'"}, "returns": []}),
-                ("inline", ("core/pipeline.py", "SMTPipeline._macro_abort"),
-                 "self._macro_abort('desync')",
-                 "__INLINE__",
-                 {"bind": {"cause": "'desync'"}, "returns": []}),
                 # _dispatch spliced into the per-stage loop; False
                 # returns become stall-and-break, the drop-at-decode
                 # True return consumes the entry inline, the tail True
@@ -1905,7 +1465,7 @@ def _tiersync_fragments(key: KernelKey) -> tuple:
                  "    self.gstats.dispatch_stalls += 1\n"
                  "    break",
                  "__INLINE__",
-                 {"bind": {"inst": ("inst", "fetch_queue[0]")},
+                 {"assign": {"inst": "fetch_queue[0]"},
                   "returns": [
                       "stmts:self.gstats.dispatch_stalls += 1\nbreak",
                       "stmts:fetch_queue.popleft()\nbudget -= 1\n"
@@ -1922,26 +1482,15 @@ def _tiersync_fragments(key: KernelKey) -> tuple:
                  "self.arch_inv[arch_reg] = invalid"),
                 ("stmt", "thread.note_arch_invalid(inst.dest_arch, True)",
                  "arch_inv[inst.dest_arch] = True"),
-                # Per-run hoists (done once in _emit_hoists) and the
-                # macro block's per-entry rebinds of prebound names.
+                # Per-run hoists (done once in _emit_hoists); tid is
+                # hoisted once per thread iteration.
                 ("stmt", "dispatch = self._dispatch", ""),
-                ("stmt", "macro = self.macro_spec", ""),
                 ("stmt", "rob = self.rob", ""),
-                ("stmt", "queues = self.queues", ""),
-                ("stmt", "int_file = self.int_file", ""),
-                ("stmt", "fp_file = self.fp_file", ""),
-                ("stmt", "never = _NEVER", ""),
-                ("stmt", "nint = _NINT", ""),
-                ("stmt", "fold = self._fold", ""),
-                ("stmt", "gstats = self.gstats", ""),
-                ("stmt", "tid = thread.tid", ""),
-                # ... and tid is re-hoisted once per thread iteration.
                 ("stmt", "fetch_queue = thread.fetch_queue",
                  "fetch_queue = thread.fetch_queue\n"
                  "tid = thread.tid"),
                 ("rename", "budget", "dispatch_budget"),
                 ("rename", "_RUNAHEAD", "ra_mode"),
-                ("rename", "_PLAN_MISSING", "plan_missing"),
                 ("rename", "_COMPLETED", "completed_state"),
                 ("rename", "_DISPATCHED", "dispatched_state"),
                 ("rename", "_READY", "ready_state"),
@@ -1950,14 +1499,11 @@ def _tiersync_fragments(key: KernelKey) -> tuple:
                 ("expr", "self._width", str(key.width)),
                 ("expr", "self._rotations[now % self.num_threads]",
                  _rotation_expr(key)),
-                ("expr", "macro", "True"),
                 ("expr", "self._ra_fp_inval", "True"),
                 ("expr", "_SYNC_CODE", str(pipeline_mod._SYNC_CODE)),
                 ("expr", "rob.capacity", str(key.rob_capacity)),
                 ("expr", "rob._queues[inst.tid]", "robq"),
-                ("expr", "rob._queues", "rob_queues"),
                 ("expr", "rob.per_thread[inst.tid]", "rob_pt[tid]"),
-                ("expr", "rob.per_thread", "rob_pt"),
                 ("expr", "self.threads[inst.tid]", "thread"),
                 ("expr", "inst.tid", "tid"),
                 ("expr", "self.queues", "queues"),
@@ -1968,10 +1514,6 @@ def _tiersync_fragments(key: KernelKey) -> tuple:
                 ("expr", "NO_REG", "no_reg"),
                 ("expr", "_NINT", "nint"),
                 ("expr", "_NEVER", "never"),
-                ("expr", "_JIT_THRESHOLD",
-                 "pipeline_mod._JIT_THRESHOLD"),
-                ("expr", "_PREFIX_JIT_THRESHOLD",
-                 "pipeline_mod._PREFIX_JIT_THRESHOLD"),
                 ("expr", "front[0]", "front0"),
                 ("expr", "front[1]", "front1"),
                 ("expr", "self._fold_worklist", "fold_worklist"),
@@ -2046,24 +1588,6 @@ def _tiersync_fragments(key: KernelKey) -> tuple:
                  "    arch_index = dest_arch - nint\n"
                  "    fmap = front1\n"
                  "inst.pdest = preg"),
-                # Issue-queue headroom against the folded caps.
-                ("stmt",
-                 "room_q0 = queues[0].capacity - queues[0].size",
-                 f"room_q0 = {key.iq_caps[0]} - q0.size"),
-                ("stmt",
-                 "room_q1 = queues[1].capacity - queues[1].size",
-                 f"room_q1 = {key.iq_caps[1]} - q1.size"),
-                ("stmt",
-                 "room_q2 = queues[2].capacity - queues[2].size",
-                 f"room_q2 = {key.iq_caps[2]} - q2.size"),
-                # The policy veto is prebound and known non-None.
-                ("stmt",
-                 "macro_ok = self._macro_step_ok\n"
-                 "if macro_ok is not None and not macro_ok(thread, k,"
-                 " now):\n"
-                 "    __BODY__",
-                 "if not macro_ok(thread, k, now):\n"
-                 "    __BODY__"),
                 # The front read sinks below the ROB guard (which does
                 # not use it) — the kernel stalls before peeking.
                 ("stmt",
@@ -2075,22 +1599,6 @@ def _tiersync_fragments(key: KernelKey) -> tuple:
                  "    gstats.dispatch_stalls += 1\n"
                  "    break\n"
                  "inst = fetch_queue[0]"),
-                # Single-pass loop: every abort break falls through to
-                # the per-stage path, exactly like `return 0` did.
-                ("stmt",
-                 "if plan is None:\n"
-                 "    break\n"
-                 "__REST__\n"
-                 "if taken:\n"
-                 "    dispatch_budget -= taken\n"
-                 "    if dispatch_budget <= 0:\n"
-                 "        break",
-                 "while plan is not None:\n"
-                 "    __REST__\n"
-                 "if taken:\n"
-                 "    dispatch_budget -= taken\n"
-                 "    if dispatch_budget <= 0:\n"
-                 "        break"),
                 # The per-stage while gains the guarded hoist wrapper.
                 ("stmt",
                  "while dispatch_budget > 0 and fetch_queue:\n"
@@ -2131,7 +1639,7 @@ def _tiersync_fragments(key: KernelKey) -> tuple:
                  "    fetched_total += taken\n"
                  "    threads_used += 1",
                  "__INLINE__",
-                 {"bind": {"limit": ("limit", "width - fetched_total")},
+                 {"assign": {"limit": "width - fetched_total"},
                   "returns": ["continue", "delete"]}),
                 ("guard", "core/thread.py",
                  "ThreadContext.block_fetch_until",

@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from ..branch import BranchTargetBuffer, PerceptronPredictor
-from ..config import SMTConfig, speculation_mode
+from ..config import SMTConfig
 from ..errors import DeadlockError, SimulationError
 from ..isa import (
     IS_FP_BY_CODE,
@@ -34,17 +34,14 @@ from ..mem import MemoryHierarchy
 from ..trace.trace import Trace
 from .dyninst import DynInst, InstState
 from .fu import FUPool
-from .hookspec import horizon_covers_on_cycle, macro_covers_policy
+from .hookspec import horizon_covers_on_cycle
 from .issue_queue import IssueQueue, MEMORY_WAIT
 from .regfile import NEVER as _NEVER, PhysRegFile
 from .rename import RenameState
 from .rob import SharedROB
 from .runahead import RunaheadController
 from .stats import GlobalStats
-from .macro_jit import JIT_THRESHOLD as _JIT_THRESHOLD
-from .macro_jit import PREFIX_JIT_THRESHOLD as _PREFIX_JIT_THRESHOLD
-from .macro_jit import compile_macro_handler
-from .thread import ThreadContext, ThreadMode, build_macro_plan
+from .thread import ThreadContext, ThreadMode
 
 #: Event kinds in the cycle-indexed event table.
 _EV_COMPLETE = 0
@@ -67,10 +64,6 @@ _SQUASHED = InstState.SQUASHED
 #: equivalent to reg_class() without the enum construction.
 _NINT = NUM_INT_ARCH_REGS
 
-
-#: Plan-cache probe sentinel: distinguishes "row never probed" from the
-#: cached "no fusable run starts here" (None).
-_PLAN_MISSING = object()
 
 #: Cycles without a single commit before the deadlock guard trips.
 _DEADLOCK_WINDOW = 100_000
@@ -185,33 +178,12 @@ class SMTPipeline:
         # that never override on_cycle.
         self._policy_on_cycle = policy.on_cycle if overrides_on_cycle else None
 
-        #: Macro-step speculation: the guarded fused dispatch fast path
-        #: (see :meth:`_macro_dispatch`).  Controlled by the
-        #: ``REPRO_SPECULATE`` environment knob rather than an SMTConfig
-        #: field — the config encoding doubles as the result-cache key,
-        #: and by the bit-identity contract this switch cannot change
-        #: any result (tests/test_macro_speculation.py).  ``auto``
-        #: additionally vetoes policies whose accounting overrides do
-        #: not declare ``macro_step_ok`` (the skip_horizon opt-in
-        #: pattern); ``on`` trusts construction-time bit-identity even
-        #: for those.  Mutable, like ``cycle_skip``.
-        overrides_macro_ok = (policy_type.macro_step_ok
-                              is not FetchPolicy.macro_step_ok)
-        self._macro_step_ok = (policy.macro_step_ok if overrides_macro_ok
-                               else None)
-        mode = speculation_mode()
-        self.macro_spec = (mode == "on"
-                           or (mode == "auto"
-                               and macro_covers_policy(policy_type)))
-        # Plans depend only on trace columns + width: share the cache
-        # trace-wide so co-threads and repeated runs reuse recordings.
         # The per-thread fetch address columns (thread-offset PC and its
-        # i-cache line) are precomputed here too — numpy vector ops, then
-        # one list per thread — so the fetch loop does a plain subscript
-        # instead of an add and a shift per fetched instruction.
+        # i-cache line) are precomputed — numpy vector ops, then one list
+        # per thread — so the fetch loop does a plain subscript instead of
+        # an add and a shift per fetched instruction.
         shift = self._iline_shift
         for thread in self.threads:
-            thread.macro_plans = thread.trace.macro_plan_cache(self._width)
             pcs_off = thread.trace.pc + thread.code_offset
             lines = (pcs_off >> shift if shift >= 0
                      else pcs_off // self._iline_bytes)
@@ -1041,16 +1013,8 @@ class SMTPipeline:
     def _dispatch_stage(self, now: int) -> None:
         budget = self._width
         dispatch = self._dispatch
-        macro = self.macro_spec
         for thread in self._rotations[now % self.num_threads]:
             fetch_queue = thread.fetch_queue
-            if macro and budget > 1 and len(fetch_queue) > 1:
-                taken = self._macro_dispatch(thread, fetch_queue, now,
-                                             budget)
-                if taken:
-                    budget -= taken
-                    if budget <= 0:
-                        break
             while budget > 0 and fetch_queue:
                 if not dispatch(thread, fetch_queue[0], now):
                     self.gstats.dispatch_stalls += 1
@@ -1061,411 +1025,6 @@ class SMTPipeline:
                 break
         if self._fold_worklist:
             self._drain_folds(now)
-
-    def _macro_abort(self, cause: str) -> None:
-        """Account one failed macro-step entry guard (no state mutated)."""
-        gstats = self.gstats
-        gstats.macro_guard_aborts += 1
-        causes = gstats.macro_abort_causes
-        causes[cause] = causes.get(cause, 0) + 1
-
-    def _macro_dispatch(self, thread: ThreadContext, fetch_queue,
-                        now: int, budget: int) -> int:
-        """Guarded fused dispatch of one macro run; returns insts taken.
-
-        The macro-step layer's dispatcher: look up (or record) the
-        pre-decoded :class:`~repro.core.thread.MacroPlan` for the run
-        headed by the fetch queue's front entry, check the *entry
-        guards* — ROB / per-issue-queue / per-register-file headroom
-        against the plan's exact demand prefix, plus the policy's
-        :meth:`~repro.policies.base.FetchPolicy.macro_step_ok` veto —
-        and, only if every guard holds, rename and dispatch the whole
-        run in one fused loop with all shared lookups hoisted out.
-
-        Abort semantics are strictly *entry-guarded*: no machine state
-        is touched before the last guard passes, so a failed guard
-        costs one counter bump and falls through to the per-stage path —
-        there is no rollback, and the result is bit-identical either
-        way.  Guard sufficiency: dispatching can only *release*
-        resources mid-run (a fold frees its queue slot and, in
-        runahead, its destination register), so demand computed as if
-        nothing were released is an upper bound, and every instruction
-        of a guarded run is guaranteed to dispatch exactly as the
-        per-stage path would have.
-        """
-        start = fetch_queue[0].trace_index
-        plans = thread.macro_plans
-        plan = plans.get(start, _PLAN_MISSING)
-        if plan is _PLAN_MISSING:
-            plan = build_macro_plan(thread, start, self._width)
-            plans[start] = plan
-        if plan is None:
-            return 0    # speculation-unsafe head: per-stage path owns it
-        k = plan.length
-        qlen = len(fetch_queue)
-        if qlen < k:
-            k = qlen
-        if budget < k:
-            k = budget
-        rob = self.rob
-        headroom = rob.capacity - rob._occupancy
-        if headroom < k:
-            if headroom < 2:
-                self._macro_abort("rob")
-                return 0
-            k = headroom
-        drop_active = thread.mode is _RUNAHEAD and self._ra_fp_inval
-        demands = (plan.runahead_demand if drop_active
-                   else plan.normal_demand)
-        queues = self.queues
-        int_file = self.int_file
-        fp_file = self.fp_file
-        room_q0 = queues[0].capacity - queues[0].size
-        room_q1 = queues[1].capacity - queues[1].size
-        room_q2 = queues[2].capacity - queues[2].size
-        room_d0 = len(int_file._free)
-        room_d1 = len(fp_file._free)
-        need_q0, need_q1, need_q2, need_d0, need_d1 = demands[k]
-        if (need_q0 > room_q0 or need_q1 > room_q1 or need_q2 > room_q2
-                or need_d0 > room_d0 or need_d1 > room_d1):
-            # Shrink to the longest prefix the headroom covers (demand
-            # prefixes are monotone, so scanning down finds it); only a
-            # front that cannot even dispatch a 2-run falls through.
-            while k > 2:
-                k -= 1
-                need_q0, need_q1, need_q2, need_d0, need_d1 = demands[k]
-                if (need_q0 <= room_q0 and need_q1 <= room_q1
-                        and need_q2 <= room_q2 and need_d0 <= room_d0
-                        and need_d1 <= room_d1):
-                    break
-            else:
-                self._macro_abort(
-                    "iq" if (need_q0 > room_q0 or need_q1 > room_q1
-                             or need_q2 > room_q2) else "regfile")
-                return 0
-        macro_ok = self._macro_step_ok
-        if macro_ok is not None and not macro_ok(thread, k, now):
-            self._macro_abort("policy")
-            return 0
-        # Desync validation (still guard phase — nothing mutated): the
-        # fetch queue is contiguous by construction (appends follow the
-        # cursor, squashes clear it whole) and plans never cross the
-        # trace-end wrap, so the head entry pins the whole run; checking
-        # the run's tail entry too is belt and braces against drift and
-        # against a pass wrap inside the window.
-        if fetch_queue[k - 1].trace_index != start + k - 1:
-            self._macro_abort("desync")
-            return 0
-
-        # --- all guards hold ---
-        # JIT tier: a full-length run on a hot plan executes through its
-        # specialized compiled handler (constants baked in, loop
-        # unrolled); a *recurring* truncation length accumulates its own
-        # per-(k, variant) counter and compiles a prefix handler (the
-        # full emission stopped after k positions).  Cold plans and cold
-        # prefixes take the generic fused loop below.  All tiers are
-        # statement-for-statement transcriptions of _dispatch —
-        # bit-identical by construction.
-        if k == plan.length:
-            if drop_active:
-                handler = plan.jit_runahead
-                if handler is None:
-                    hits = plan.hot_runahead = plan.hot_runahead + 1
-                    if hits >= _JIT_THRESHOLD:
-                        handler = plan.jit_runahead = (
-                            compile_macro_handler(plan, True))
-            else:
-                handler = plan.jit_normal
-                if handler is None:
-                    hits = plan.hot_normal = plan.hot_normal + 1
-                    if hits >= _JIT_THRESHOLD:
-                        handler = plan.jit_normal = (
-                            compile_macro_handler(plan, False))
-            if handler is not None:
-                return handler(self, thread, fetch_queue, now)
-        else:
-            prefix_key = (k << 1) | 1 if drop_active else k << 1
-            handler = plan.jit_prefix.get(prefix_key)
-            if handler is None:
-                hits = plan.hot_prefix.get(prefix_key, 0) + 1
-                if hits >= _PREFIX_JIT_THRESHOLD:
-                    handler = plan.jit_prefix[prefix_key] = (
-                        compile_macro_handler(plan, drop_active, k))
-                else:
-                    plan.hot_prefix[prefix_key] = hits
-            if handler is not None:
-                return handler(self, thread, fetch_queue, now)
-
-        # --- generic tier: fused rename+dispatch of the whole run ---
-        # Per-instruction *net* side effects mirror _dispatch exactly
-        # (same waiter-list order, same final field states); transient
-        # round-trips the per-stage path performs and immediately undoes
-        # are elided:
-        #   * default DynInst fields are not re-stored with their
-        #     defaults (each DynInst dispatches exactly once);
-        #   * a dispatch-time fold skips the issue-queue insert its own
-        #     _fold would remove one statement later (net zero, and no
-        #     guard reads queue occupancy in between);
-        #   * in runahead, a dispatch-time fold with a destination fuses
-        #     alloc + set_ready + _recycle_runahead_dest into their net
-        #     effect — the free list is peeked, never popped (LIFO alloc
-        #     would return the same register it releases), leaving
-        #     ready/inv = (now, INV), the front map restored to the
-        #     checkpointed architectural register, arch_inv latched, and
-        #     high_water accounting for the transient allocation.
-        # The loop is specialized by mode (stable within the stage:
-        # runahead entry/exit happen at commit).
-        tid = thread.tid
-        rob_queue = rob._queues[tid]
-        rename = thread.rename
-        front0 = rename.front[0]
-        front1 = rename.front[1]
-        arch_inv = thread.arch_inv
-        stats = thread.stats
-        plan_queues = plan.queues
-        plan_store = plan.is_store
-        plan_dest = plan.dest
-        plan_dk = plan.dest_klass
-        plan_dai = plan.dest_aidx
-        plan_s1 = plan.src1
-        plan_s2 = plan.src2
-        never = _NEVER
-        nint = _NINT
-        popleft = fetch_queue.popleft
-        alloc_int = 0
-        alloc_fp = 0
-        if drop_active:
-            plan_fp = plan.is_fp
-            arch0 = rename.arch[0]
-            arch1 = rename.arch[1]
-            for position in range(k):
-                inst = popleft()
-                rob_queue.append(inst)
-                if plan_fp[position]:
-                    # §3.3 decode drop, mirrored from _dispatch: FP
-                    # compute in runahead uses only a ROB slot, INV out.
-                    inst.state = _COMPLETED
-                    inst.invalid = True
-                    inst.complete_cycle = now
-                    if inst.counted:
-                        inst.counted = False
-                        thread.icount -= 1
-                    dest_arch = plan_dest[position]
-                    if dest_arch >= 0:
-                        arch_inv[dest_arch] = True
-                    stats.folded += 1
-                    continue
-                inst.state = _DISPATCHED
-                pending = 0
-                mask = 0
-                arch = plan_s1[position]
-                if arch >= 0:
-                    if arch_inv[arch]:
-                        mask = 1
-                    else:
-                        if arch < nint:
-                            file = int_file
-                            preg = front0[arch]
-                        else:
-                            file = fp_file
-                            preg = front1[arch - nint]
-                        inst.psrc1 = preg
-                        if file.ready[preg] <= now:
-                            if file.inv[preg]:
-                                mask = 1
-                        else:
-                            file.waiters[preg].append(inst)
-                            pending = 1
-                arch = plan_s2[position]
-                if arch >= 0:
-                    if arch_inv[arch]:
-                        mask |= 2
-                    else:
-                        if arch < nint:
-                            file = int_file
-                            preg = front0[arch]
-                        else:
-                            file = fp_file
-                            preg = front1[arch - nint]
-                        inst.psrc2 = preg
-                        if file.ready[preg] <= now:
-                            if file.inv[preg]:
-                                mask |= 2
-                        else:
-                            file.waiters[preg].append(inst)
-                            pending += 1
-                if pending == 0 and ((mask & 1) if plan_store[position]
-                                     else mask):
-                    # Fused dispatch-time fold (the runahead INV chain).
-                    inst.src_inv_mask = mask
-                    inst.invalid = True
-                    inst.state = _COMPLETED
-                    inst.complete_cycle = now
-                    if inst.counted:
-                        inst.counted = False
-                        thread.icount -= 1
-                    stats.folded += 1
-                    dest_arch = plan_dest[position]
-                    if dest_arch >= 0:
-                        if plan_dk[position] == 0:
-                            file = int_file
-                            fmap = front0
-                            amap = arch0
-                        else:
-                            file = fp_file
-                            fmap = front1
-                            amap = arch1
-                        free = file._free
-                        preg = free[-1]     # alloc+recycle nets to a peek
-                        used = file.size - len(free) + 1
-                        if used > file.high_water:
-                            file.high_water = used
-                        file.ready[preg] = now
-                        file.inv[preg] = True
-                        arch_index = plan_dai[position]
-                        inst.old_pdest = fmap[arch_index]
-                        fmap[arch_index] = amap[arch_index]
-                        arch_inv[dest_arch] = True
-                    continue
-                if pending:
-                    inst.pending_srcs = pending
-                if mask:
-                    inst.src_inv_mask = mask
-                dest_arch = plan_dest[position]
-                if dest_arch >= 0:
-                    if plan_dk[position] == 0:
-                        file = int_file
-                        fmap = front0
-                        alloc_int += 1
-                    else:
-                        file = fp_file
-                        fmap = front1
-                        alloc_fp += 1
-                    free = file._free      # inlined PhysRegFile.alloc
-                    preg = free.pop()
-                    file._allocated[preg] = True
-                    file.ready[preg] = never
-                    file.inv[preg] = False
-                    file.pinned[preg] = False
-                    used = file.size - len(free)
-                    if used > file.high_water:
-                        file.high_water = used
-                    arch_index = plan_dai[position]
-                    inst.pdest = preg
-                    inst.old_pdest = fmap[arch_index]
-                    fmap[arch_index] = preg
-                    arch_inv[dest_arch] = False
-                queue = queues[plan_queues[position]]
-                queue.size += 1
-                queue.per_thread[tid] += 1
-                inst.in_iq = True
-                if pending == 0:
-                    inst.state = _READY
-                    queue._ready.append(inst)
-        else:
-            fold = self._fold
-            for position in range(k):
-                inst = popleft()
-                rob_queue.append(inst)
-                inst.state = _DISPATCHED
-                pending = 0
-                mask = 0
-                arch = plan_s1[position]
-                if arch >= 0:
-                    if arch_inv[arch]:
-                        mask = 1
-                    else:
-                        if arch < nint:
-                            file = int_file
-                            preg = front0[arch]
-                        else:
-                            file = fp_file
-                            preg = front1[arch - nint]
-                        inst.psrc1 = preg
-                        if file.ready[preg] <= now:
-                            if file.inv[preg]:
-                                mask = 1
-                        else:
-                            file.waiters[preg].append(inst)
-                            pending = 1
-                arch = plan_s2[position]
-                if arch >= 0:
-                    if arch_inv[arch]:
-                        mask |= 2
-                    else:
-                        if arch < nint:
-                            file = int_file
-                            preg = front0[arch]
-                        else:
-                            file = fp_file
-                            preg = front1[arch - nint]
-                        inst.psrc2 = preg
-                        if file.ready[preg] <= now:
-                            if file.inv[preg]:
-                                mask |= 2
-                        else:
-                            file.waiters[preg].append(inst)
-                            pending += 1
-                if pending:
-                    inst.pending_srcs = pending
-                if mask:
-                    inst.src_inv_mask = mask
-                dest_arch = plan_dest[position]
-                if dest_arch >= 0:
-                    if plan_dk[position] == 0:
-                        file = int_file
-                        fmap = front0
-                        alloc_int += 1
-                    else:
-                        file = fp_file
-                        fmap = front1
-                        alloc_fp += 1
-                    free = file._free      # inlined PhysRegFile.alloc
-                    preg = free.pop()
-                    file._allocated[preg] = True
-                    file.ready[preg] = never
-                    file.inv[preg] = False
-                    file.pinned[preg] = False
-                    used = file.size - len(free)
-                    if used > file.high_water:
-                        file.high_water = used
-                    arch_index = plan_dai[position]
-                    inst.pdest = preg
-                    inst.old_pdest = fmap[arch_index]
-                    fmap[arch_index] = preg
-                    arch_inv[dest_arch] = False
-                if pending == 0:
-                    if (mask & 1) if plan_store[position] else mask:
-                        # Dispatch-time fold: never entered its queue, so
-                        # _fold's in_iq check skips the removal.
-                        fold(inst, now)
-                        continue
-                    queue = queues[plan_queues[position]]
-                    queue.size += 1
-                    queue.per_thread[tid] += 1
-                    inst.in_iq = True
-                    inst.state = _READY
-                    queue._ready.append(inst)
-                else:
-                    queue = queues[plan_queues[position]]
-                    queue.size += 1
-                    queue.per_thread[tid] += 1
-                    inst.in_iq = True
-        # Monotone counters, batched over the run (nothing reads them
-        # mid-stage; fold-time releases inside the loop are additive
-        # with these, so order does not matter).
-        rob._occupancy += k
-        rob.per_thread[tid] += k
-        thread.rob_held += k
-        stats.dispatched += k
-        if alloc_int:
-            thread.regs_held[0] += alloc_int
-        if alloc_fp:
-            thread.regs_held[1] += alloc_fp
-        gstats = self.gstats
-        gstats.macro_steps += 1
-        gstats.macro_insts += k
-        return k
 
     def _dispatch(self, thread: ThreadContext, inst: DynInst,
                   now: int) -> bool:

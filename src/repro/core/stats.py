@@ -32,8 +32,7 @@ THREAD_DIGEST_FIELDS = (
 #: grow without touching salts or goldens.
 DIGEST_SAFE_DIAGNOSTICS = (
     "cycles", "executed", "committed", "fetch_conflicts",
-    "dispatch_stalls", "macro_steps", "macro_insts",
-    "macro_guard_aborts", "macro_abort_causes",
+    "dispatch_stalls", "macro_insts",
 )
 
 
@@ -100,15 +99,10 @@ class GlobalStats:
     fetch_conflicts: int = 0   # cycles a gated thread was skipped at fetch
     dispatch_stalls: int = 0   # dispatch attempts blocked by a full resource
 
-    # Macro-step speculation accounting (see SMTPipeline._macro_dispatch):
-    # fused runs taken, instructions dispatched through them, and entry
-    # guards that failed after a plan was found (by cause in the dict —
-    # "rob", "iq", "regfile", "policy", "desync").
-    macro_steps: int = 0
+    # Always 0: the fused dispatch fast path it counted is gone, but
+    # the benchmark harness still reads it for its core.macro_* metrics.
+    # The field is removed together with those metrics.
     macro_insts: int = 0
-    macro_guard_aborts: int = 0
-    macro_abort_causes: Dict[str, int] = dataclasses.field(
-        default_factory=dict)
 
     def as_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)

@@ -20,15 +20,9 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, List, Set
 
-from ..isa import (
-    IS_SPEC_UNSAFE_BY_CODE,
-    NO_REG,
-    NUM_ARCH_REGS,
-    NUM_INT_ARCH_REGS,
-    batch_decode,
-)
+from ..isa import NO_REG, NUM_ARCH_REGS, NUM_INT_ARCH_REGS
 from ..trace.trace import Trace
 from .dyninst import DynInst
 from .rename import RenameState
@@ -54,109 +48,6 @@ class ThreadMode(enum.IntEnum):
 _RUNAHEAD_MODE = ThreadMode.RUNAHEAD
 
 
-class MacroPlan:
-    """One pre-decoded macro-step: a hot linear run of trace rows.
-
-    Recorded the first time the dispatch stage finds the run's head row
-    at the front of a fetch queue; executed thereafter as one fused
-    rename+dispatch step whenever the entry guards hold (see
-    :meth:`SMTPipeline._macro_dispatch
-    <repro.core.pipeline.SMTPipeline._macro_dispatch>`).  Every column
-    is a plain tuple indexed by position in the run — the same flat
-    int-table layout as :meth:`Trace.hot_columns
-    <repro.trace.trace.Trace.hot_columns>`, pulled once from the
-    :mod:`repro.isa` tables via :func:`~repro.isa.batch_decode` so the
-    fused loop never touches a per-op lookup table again.
-
-    ``normal_demand[k]`` / ``runahead_demand[k]`` give the exact shared-
-    resource demand of the run's first ``k`` instructions as an
-    ``(int-queue, fp-queue, ls-queue, int-dest, fp-dest)`` entry-count
-    tuple.  The runahead variant excludes FP-pipeline ops: with FP
-    invalidation on (§3.3) those dispatch as decode-drops needing only a
-    ROB slot.  Runs never contain speculation-unsafe ops (SYNC) and
-    never cross the trace end (a pass wrap breaks index linearity), so a
-    run's rows always describe consecutive fetch-queue entries.
-    """
-
-    __slots__ = ("start", "length", "queues", "fus", "latencies",
-                 "dest", "dest_klass", "dest_aidx", "src1", "src2",
-                 "is_fp", "is_store", "normal_demand", "runahead_demand",
-                 "jit_normal", "jit_runahead", "hot_normal",
-                 "hot_runahead", "jit_prefix", "hot_prefix")
-
-    def __init__(self, start: int, codes, dests, src1s, src2s) -> None:
-        length = len(codes)
-        self.start = start
-        self.length = length
-        (self.queues, self.fus, self.latencies, self.is_fp,
-         self.is_store, _unsafe) = batch_decode(codes)
-        self.dest = tuple(dests)
-        self.dest_klass = tuple(
-            0 if dest < NUM_INT_ARCH_REGS else 1 for dest in dests)
-        self.dest_aidx = tuple(
-            dest if dest < NUM_INT_ARCH_REGS else dest - NUM_INT_ARCH_REGS
-            for dest in dests)
-        self.src1 = tuple(src1s)
-        self.src2 = tuple(src2s)
-        queues = self.queues
-        is_fp = self.is_fp
-        normal = [(0, 0, 0, 0, 0)]
-        runahead = [(0, 0, 0, 0, 0)]
-        nq = [0, 0, 0]
-        nd = [0, 0]
-        rq = [0, 0, 0]
-        rd = [0, 0]
-        for index in range(length):
-            nq[queues[index]] += 1
-            dest = dests[index]
-            if dest != NO_REG:
-                nd[0 if dest < NUM_INT_ARCH_REGS else 1] += 1
-            if not is_fp[index]:
-                rq[queues[index]] += 1
-                if dest != NO_REG:
-                    rd[0 if dest < NUM_INT_ARCH_REGS else 1] += 1
-            normal.append((nq[0], nq[1], nq[2], nd[0], nd[1]))
-            runahead.append((rq[0], rq[1], rq[2], rd[0], rd[1]))
-        self.normal_demand = tuple(normal)
-        self.runahead_demand = tuple(runahead)
-        #: JIT tier (see :mod:`repro.core.macro_jit`): per-variant
-        #: specialized handlers, compiled once the execution counters
-        #: cross the hotness threshold.
-        self.jit_normal = None
-        self.jit_runahead = None
-        self.hot_normal = 0
-        self.hot_runahead = 0
-        #: Truncated-prefix tier: handlers and hit counters keyed by
-        #: ``(k << 1) | drop_active`` for recurring clamp lengths
-        #: ``2 <= k < length`` (compiled at ``PREFIX_JIT_THRESHOLD``).
-        self.jit_prefix = {}
-        self.hot_prefix = {}
-
-
-def build_macro_plan(thread: "ThreadContext", start: int,
-                     max_len: int) -> Optional[MacroPlan]:
-    """Record the macro run starting at trace row ``start``, if any.
-
-    The run extends over consecutive non-speculation-unsafe rows, capped
-    at ``max_len`` (the machine width — dispatch can never take more in
-    one cycle) and at the trace end.  Returns ``None`` when no run of at
-    least two instructions starts here — fusing a single instruction
-    would only add guard overhead to the per-stage path.
-    """
-    ops = thread.ops
-    stop = start + max_len
-    trace_len = len(ops)
-    if stop > trace_len:
-        stop = trace_len
-    end = start
-    while end < stop and not IS_SPEC_UNSAFE_BY_CODE[ops[end]]:
-        end += 1
-    if end - start < 2:
-        return None
-    return MacroPlan(start, ops[start:end], thread.dests[start:end],
-                     thread.src1s[start:end], thread.src2s[start:end])
-
-
 class ThreadContext:
     """All architectural and microarchitectural state private to a thread."""
 
@@ -172,7 +63,7 @@ class ThreadContext:
         "arch_inv",
         "pending_l2_misses", "finished_passes",
         "data_base", "code_offset", "data_region",
-        "macro_plans", "pcs_off", "fetch_lines",
+        "pcs_off", "fetch_lines",
     )
 
     def __init__(self, tid: int, trace: Trace, rename: RenameState,
@@ -215,15 +106,6 @@ class ThreadContext:
 
         self.pending_l2_misses = 0
         self.finished_passes = 0
-
-        #: Macro-step plan cache, keyed by the run's starting trace row
-        #: (the trace-driven model's program counter).  ``None`` marks a
-        #: row where no fusable run starts, so the dispatch stage probes
-        #: each row at most once.  The pipeline rebinds this to the
-        #: trace-wide cache (:meth:`Trace.macro_plan_cache
-        #: <repro.trace.trace.Trace.macro_plan_cache>`) so co-threads
-        #: and repeated runs share recordings.
-        self.macro_plans: Dict[int, Optional[MacroPlan]] = {}
 
         self.data_base = DATA_BASE + tid * THREAD_DATA_SPACING
         self.code_offset = tid * THREAD_CODE_SPACING

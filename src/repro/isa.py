@@ -95,14 +95,6 @@ STORE_OPS = frozenset((OpClass.STORE, OpClass.FSTORE))
 #: (paper §3.3, "Floating-point resources").
 FP_OPS = frozenset((OpClass.FADD, OpClass.FMUL, OpClass.FDIV))
 
-#: Op classes that may never be folded into a speculated macro-step run
-#: (see :meth:`repro.core.pipeline.SMTPipeline` macro-step speculation).
-#: SYNC marks a synchronization boundary *and* has mode-dependent decode
-#: behaviour (dropped outright in runahead); macro runs break before it
-#: so the per-stage path keeps exclusive ownership of its semantics.
-SPECULATION_UNSAFE_OPS = frozenset((OpClass.SYNC,))
-
-
 class IssueQueueKind(enum.IntEnum):
     """The three issue queues of Table 1."""
 
@@ -183,31 +175,6 @@ IS_FP_BY_CODE = tuple(OpClass(code) in FP_OPS
                       for code in range(len(OpClass)))
 IS_BRANCH_BY_CODE = tuple(OpClass(code) is OpClass.BRANCH
                           for code in range(len(OpClass)))
-IS_SPEC_UNSAFE_BY_CODE = tuple(OpClass(code) in SPECULATION_UNSAFE_OPS
-                               for code in range(len(OpClass)))
-
-
-def batch_decode(op_codes):
-    """Pre-decode a run of raw op codes into parallel structural tuples.
-
-    One call per macro-run *recording* replaces per-op table lookups on
-    every subsequent *execution* of the run: the macro-step layer calls
-    this once when a hot linear run is first seen, bakes the result into
-    its plan, and the fused fast path then indexes plain tuples.
-
-    Returns ``(queues, fus, latencies, fp, stores, unsafe)`` — issue-queue
-    index, FU-pool index, execution latency, FP-pipeline membership
-    (decode-drop candidates in runahead, §3.3), store flags, and the
-    speculation-unsafe flag, each indexed by position in ``op_codes``.
-    """
-    return (
-        tuple(OP_QUEUE_BY_CODE[op] for op in op_codes),
-        tuple(OP_FU_BY_CODE[op] for op in op_codes),
-        tuple(OP_LATENCY_BY_CODE[op] for op in op_codes),
-        tuple(IS_FP_BY_CODE[op] for op in op_codes),
-        tuple(IS_STORE_BY_CODE[op] for op in op_codes),
-        tuple(IS_SPEC_UNSAFE_BY_CODE[op] for op in op_codes),
-    )
 
 
 def is_memory_op(op: OpClass) -> bool:

@@ -62,33 +62,6 @@ class FetchPolicy:
     def on_cycle(self, now: int) -> None:
         """Called once per cycle before the commit stage."""
 
-    def macro_step_ok(self, thread: "ThreadContext", length: int,
-                      now: int) -> bool:
-        """May the dispatch stage fuse ``length`` instructions this cycle?
-
-        The macro-step speculation layer (see
-        :meth:`SMTPipeline._macro_dispatch
-        <repro.core.pipeline.SMTPipeline._macro_dispatch>`) dispatches a
-        pre-decoded run of ``thread``'s instructions in one fused step
-        when its resource guards hold.  The fused step leaves every
-        counter a policy can observe (ICOUNT, per-thread queue and ROB
-        occupancy, register holdings) in exactly the state the per-stage
-        path would — so the base contract is simply ``True``.
-
-        The hook exists as the policy's veto term, mirroring the
-        :meth:`skip_horizon` opt-in pattern: a policy that overrides
-        :meth:`on_cycle` or :meth:`on_l2_miss_detected` with resource
-        *accounting* MUST (re)declare this method — even if only to
-        ``return True`` — or the pipeline conservatively disables the
-        fused path for it under ``REPRO_SPECULATE=auto`` (the default).
-        Declaring it asserts the policy's accounting reads only
-        end-of-stage state and cannot tell a fused run from the same
-        instructions dispatched one at a time.  ``fetch_order`` needs no
-        such declaration: it is side-effect-free and runs after dispatch
-        has fully settled.
-        """
-        return True
-
     def skip_horizon(self, now: int) -> Optional[int]:
         """Earliest future cycle at which :meth:`on_cycle` must run.
 

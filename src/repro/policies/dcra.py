@@ -51,15 +51,6 @@ class DCRAPolicy(ICountPolicy):
         remainder = now % self._interval
         return now if remainder == 0 else now + (self._interval - remainder)
 
-    def macro_step_ok(self, thread, length: int, now: int) -> bool:
-        # DCRA's accounting (regs_held, per-thread queue occupancy)
-        # samples end-of-interval state from on_cycle, which runs before
-        # the dispatch stage: a fused dispatch run and the equivalent
-        # per-instruction sequence leave those counters identical by the
-        # time DCRA next reads them, so runs never cross an accounting
-        # boundary mid-observation.
-        return True
-
     # --- classification -----------------------------------------------------
 
     def _is_slow(self, thread) -> bool:

@@ -32,10 +32,3 @@ class FlushPolicy(ICountPolicy):
         thread.gate_fetch_until(inst.complete_cycle)
         thread.block_fetch_until(
             inst.complete_cycle + pipeline.config.redirect_penalty)
-
-    def macro_step_ok(self, thread, length: int, now: int) -> bool:
-        # The flush squash runs at L2-detect time, strictly before the
-        # dispatch stage of the same cycle; whether the surviving fetch
-        # queue then drains through the fused run or one inst at a time
-        # is indistinguishable to this policy (it keeps no counters).
-        return True

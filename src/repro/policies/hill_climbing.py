@@ -61,13 +61,6 @@ class HillClimbingPolicy(ICountPolicy):
         remainder = now % self._epoch
         return now if remainder == 0 else now + (self._epoch - remainder)
 
-    def macro_step_ok(self, thread, length: int, now: int) -> bool:
-        # Epoch scores read gstats.committed and _enforce reads ROB /
-        # register occupancy — all from on_cycle, before dispatch runs;
-        # the fused path changes no end-of-stage counter, so epochs and
-        # share enforcement see identical state either way.
-        return True
-
     def _finish_epoch(self, score: float) -> None:
         num = len(self.threads)
         if self._trial < 0:

@@ -100,14 +100,6 @@ class MLPAwarePolicy(ICountPolicy):
         if closed:
             self._refresh_min_resolve()
 
-    def macro_step_ok(self, thread, length: int, now: int) -> bool:
-        # The run-on window compares thread.stats.fetched against its
-        # allowance; dispatch fusion never touches the fetched counter
-        # (fetch is a separate stage), and window open/close react to
-        # L2-detect events and on_cycle, both of which run before
-        # dispatch — no observable difference.
-        return True
-
     def skip_horizon(self, now: int) -> Optional[int]:
         # Window close (train + ungate) must run exactly at its resolve
         # cycle.  The run-on gate test depends only on the fetched

@@ -19,9 +19,3 @@ class StallPolicy(ICountPolicy):
     def on_l2_miss_detected(self, thread, inst, now: int) -> None:
         if inst.complete_cycle > now:
             thread.gate_fetch_until(inst.complete_cycle)
-
-    def macro_step_ok(self, thread, length: int, now: int) -> bool:
-        # Gating reacts to L2-detect events, which fire before the
-        # dispatch stage; a fused dispatch run changes nothing STALL
-        # reads (it only ever looks at the event's instruction).
-        return True

@@ -17,14 +17,13 @@ Two tiers exist:
     compiled once per machine shape per process.
 
 Selection is controlled by the ``REPRO_KERNEL`` environment knob
-(``auto`` | ``python`` | ``specialized``, resolved by
-:func:`repro.config.kernel_mode` — the same pattern as
-``REPRO_SPECULATE``, and like it deliberately *not* an
-:class:`~repro.config.SMTConfig` field: by the bit-identity contract
-the switch cannot change any result, so the config cache key — and the
-result-cache salt — stay untouched).  Requesting ``specialized`` for a
-shape the generator does not cover silently falls back to ``python``:
-tier selection is a request, never an error and never a divergence.
+(``auto`` | ``python``, resolved by :func:`repro.config.kernel_mode`),
+deliberately *not* an :class:`~repro.config.SMTConfig` field: by the
+bit-identity contract the switch cannot change any result, so the
+config cache key — and the result-cache salt — stay untouched.
+``auto`` runs ``specialized`` where the generator covers the shape and
+falls back to ``python`` elsewhere: tier selection is a request, never
+an error and never a divergence.
 
 This module reads no environment itself (determinism scope): the env
 read happens inside :mod:`repro.config`, which is the sanctioned home
@@ -90,12 +89,12 @@ def _specialized_kernel(pipeline):
 def resolve_run_loop(pipeline) -> Callable:
     """Pick the run loop for one ``run()`` call.
 
-    ``python`` forces the portable loop; ``specialized`` and ``auto``
-    both request the specializer and fall back to the portable loop for
-    any shape it declines (third-party policy, wide machine).  Resolved
-    per call, not per pipeline: mutable pipeline switches the key folds
-    (``cycle_skip``, ``macro_spec``) are re-read each time, so tests
-    that flip them between runs get the matching kernel variant.
+    ``python`` forces the portable loop; ``auto`` requests the
+    specializer and falls back to the portable loop for any shape it
+    declines (third-party policy, wide machine).  Resolved per call,
+    not per pipeline: the mutable ``cycle_skip`` switch the key folds
+    is re-read each time, so tests that flip it between runs get the
+    matching kernel variant.
     """
     if kernel_mode() == "python":
         return python_run_loop

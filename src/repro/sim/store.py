@@ -271,6 +271,11 @@ class DiskStore(ResultStore):
         try:
             with open(self._path(key), "r", encoding="utf-8") as handle:
                 data = json.load(handle)
+            if data["key"] != key or data["salt"] != CODE_VERSION_SALT:
+                # Misfiled (copied or renamed under another cell's key)
+                # or written by other code: serving it would hand this
+                # cell someone else's result.
+                return None
             result = SimResult.from_dict(data["result"])
         except (OSError, ValueError, KeyError, TypeError):
             return None

@@ -42,8 +42,7 @@ class Trace:
     """
 
     __slots__ = ("name", "op", "dest", "src1", "src2", "addr", "taken",
-                 "pc", "data_region_bytes", "_length", "_hot_columns",
-                 "_macro_plans")
+                 "pc", "data_region_bytes", "_length", "_hot_columns")
 
     def __init__(self, name: str, columns: Dict[str, np.ndarray],
                  data_region_bytes: int = 0) -> None:
@@ -61,7 +60,6 @@ class Trace:
             array.setflags(write=False)
             setattr(self, key, array)
         self._hot_columns = None
-        self._macro_plans = {}
 
     def __len__(self) -> int:
         return self._length
@@ -89,20 +87,6 @@ class Trace:
             self._hot_columns = tuple(
                 getattr(self, key).tolist() for key in _COLUMNS)
         return self._hot_columns
-
-    def macro_plan_cache(self, width: int) -> Dict:
-        """Per-``width`` macro-step plan cache, shared trace-wide.
-
-        Plans (see :class:`repro.core.thread.MacroPlan`) depend only on
-        the immutable trace columns and the machine width, never on
-        thread state — so every thread running this trace, and every
-        repeat of a timing run over it, shares one lazily-filled dict.
-        Not pickled (see ``__reduce__``); pool workers rebuild lazily.
-        """
-        cache = self._macro_plans.get(width)
-        if cache is None:
-            cache = self._macro_plans[width] = {}
-        return cache
 
     def instruction(self, index: int) -> TraceInstruction:
         """Row view of instruction ``index`` (supports negative indices)."""

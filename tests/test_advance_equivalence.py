@@ -13,6 +13,11 @@ workloads always include at least one MEM-class benchmark so L2-miss
 machinery (runahead episodes, MSHR pressure, policy gating) is actually
 exercised.  A second pass shrinks the MSHR file to force rejected-load
 replay windows — the intra-thread skip case.
+
+Thread counts beyond the 1/2/4 baseline shape (3, 5, 6 and 8 — the
+non-power-of-two rotation paths, up to the kernel tier's
+``MAX_THREADS``) run the two policies that stress the most per-thread
+state, RaT and DCRA, on short traces.
 """
 
 from __future__ import annotations
@@ -24,13 +29,18 @@ import pytest
 from repro.config import baseline
 from repro.core.processor import SMTProcessor
 from repro.policies.registry import policy_names
+from repro.sim.kernels import python_run_loop, resolve_run_loop
 from repro.trace.generator import generate_trace
 from repro.trace.profiles import ilp_benchmarks, mem_benchmarks
 
 #: Seeded deterministically; change the seed only with a reason.
 _RNG_SEED = 20260728
 
-THREAD_COUNTS = (1, 2, 4)
+THREAD_COUNTS = (1, 2, 4, 3, 5, 6, 8)
+
+#: Thread counts past the baseline shape, and the policies they run.
+EXTRA_THREAD_COUNTS = (3, 5, 6, 8)
+EXTRA_POLICIES = ("dcra", "rat")
 
 
 def _random_cells():
@@ -41,12 +51,13 @@ def _random_cells():
     ilp = list(ilp_benchmarks())
     cells = []
     for threads in THREAD_COUNTS:
-        for policy in policy_names():
+        extra = threads in EXTRA_THREAD_COUNTS
+        for policy in EXTRA_POLICIES if extra else policy_names():
             # First slot MEM-class so long-latency misses occur; the rest
             # drawn from the full set.
             names = [rng.choice(mem)]
             names += [rng.choice(mem + ilp) for _ in range(threads - 1)]
-            trace_len = rng.randrange(200, 401, 50)
+            trace_len = rng.randrange(200, 301 if extra else 401, 50)
             seed = rng.randrange(1, 1000)
             cells.append((threads, policy, tuple(names), trace_len, seed))
     return cells
@@ -55,23 +66,30 @@ def _random_cells():
 CELLS = _random_cells()
 
 
-def _run(policy, benchmarks, trace_len, seed, cycle_skip,
+def _run(kernel_tier, policy, benchmarks, trace_len, seed, cycle_skip,
          **config_overrides):
     traces = [generate_trace(name, trace_len, seed) for name in benchmarks]
     config = baseline().with_policy(policy, **config_overrides)
     processor = SMTProcessor(config, traces)
     processor.pipeline.cycle_skip = cycle_skip
+    if kernel_tier != "python":
+        # In-package policies within MAX_THREADS: a decline here is a
+        # generator regression, not a legitimate fallback.
+        assert resolve_run_loop(processor.pipeline) is not python_run_loop
     result = processor.run(min_passes=1, max_cycles=200_000)
     return result, processor.pipeline
 
 
 @pytest.fixture(params=["python", "specialized"])
 def kernel_tier(request, monkeypatch):
-    """Fuzz each cell under both run-loop tiers: under ``specialized``
-    the skip-on/skip-off pair exercises two *different* generated
-    kernels (the key folds ``skip_enabled``), so this doubles as a
-    cross-kernel equivalence check."""
-    monkeypatch.setenv("REPRO_KERNEL", request.param)
+    """Fuzz each cell under both run-loop tiers (``specialized`` is the
+    default ``REPRO_KERNEL``): there the skip-on/skip-off pair exercises
+    two *different* generated kernels (the key folds ``skip_enabled``),
+    so this doubles as a cross-kernel equivalence check."""
+    if request.param == "python":
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+    else:
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
     return request.param
 
 
@@ -81,8 +99,10 @@ def kernel_tier(request, monkeypatch):
          for t, p, b, n, s in CELLS])
 def test_advance_matches_step(kernel_tier, threads, policy, benchmarks,
                               trace_len, seed):
-    stepped, _ = _run(policy, benchmarks, trace_len, seed, False)
-    skipped, pipeline = _run(policy, benchmarks, trace_len, seed, True)
+    stepped, _ = _run(kernel_tier, policy, benchmarks, trace_len, seed,
+                      False)
+    skipped, pipeline = _run(kernel_tier, policy, benchmarks, trace_len,
+                             seed, True)
     assert skipped.to_dict() == stepped.to_dict(), (
         f"cycle-skip divergence: {threads} threads, policy {policy}, "
         f"workload {benchmarks}, trace_len {trace_len}, seed {seed} "
@@ -95,10 +115,10 @@ def test_advance_matches_step_under_mshr_pressure(kernel_tier, policy):
     """A tiny MSHR file forces rejected-load replay windows, the case the
     intra-thread (memory-wait) skip horizon covers."""
     benchmarks = ("art", "mcf")
-    stepped, step_pipe = _run(policy, benchmarks, 400, 7, False,
-                              mshr_entries=2)
-    skipped, skip_pipe = _run(policy, benchmarks, 400, 7, True,
-                              mshr_entries=2)
+    stepped, step_pipe = _run(kernel_tier, policy, benchmarks, 400, 7,
+                              False, mshr_entries=2)
+    skipped, skip_pipe = _run(kernel_tier, policy, benchmarks, 400, 7,
+                              True, mshr_entries=2)
     assert step_pipe.mem.mshr.rejects > 0, (
         "test premise broken: no load was ever rejected; shrink "
         "mshr_entries further")

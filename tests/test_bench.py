@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
 
@@ -50,6 +51,7 @@ class TestReports:
     @pytest.fixture()
     def report(self, monkeypatch):
         monkeypatch.setattr(bench, "BENCH_CELLS", (TINY_CELL,))
+        monkeypatch.setattr(bench, "tree_dirty", lambda: False)
         monkeypatch.setenv(bench.REV_ENV_VAR, "testrev")
         return bench.run_bench(repeats=1)
 
@@ -115,25 +117,46 @@ class TestReports:
                    for line in lines)
         assert not any("x vs reference" in line for line in lines)
 
-    def test_macro_counters_in_report(self, report):
-        """Macro-step speculation accounting rides along in every
-        report entry and the rendered table."""
-        entry = report["cells"]["tiny-stall"]
-        assert entry["macro_steps"] >= 0
-        assert entry["macro_insts"] >= entry["macro_steps"]
-        assert entry["macro_guard_aborts"] >= 0
-        assert isinstance(entry["macro_abort_causes"], dict)
-        rendered = bench.render_report(report)
-        assert "macro" in rendered and "aborts" in rendered
-
     def test_render_tolerates_pre_speculation_reports(self, report):
-        """Reports recorded before the macro columns existed render
-        with placeholders, not KeyError."""
+        """Reports recorded by older harness versions, which carried
+        per-cell columns this version no longer writes and no dirty
+        flag, still render."""
         legacy = json.loads(json.dumps(report))
-        for key in ("macro_steps", "macro_insts", "macro_guard_aborts",
-                    "macro_abort_causes"):
-            del legacy["cells"]["tiny-stall"][key]
+        del legacy["dirty"]
+        legacy["cells"]["tiny-stall"]["retired_column"] = 0
         assert "tiny-stall" in bench.render_report(legacy)
+        assert bench.revision_label(legacy) == "testrev"
+
+    def test_dirty_tree_is_stamped(self, report, tmp_path, monkeypatch):
+        """A report timed on a dirty ``src/`` says so in its header and
+        file name."""
+        assert report["dirty"] is False
+        dirty = dict(report, dirty=True)
+        assert bench.render_report(dirty).startswith(
+            "repro bench @ testrev-dirty ")
+        monkeypatch.chdir(tmp_path)
+        assert bench.write_report(dirty) == "BENCH_testrev-dirty.json"
+
+    def test_tree_dirty_reads_git_status(self, monkeypatch):
+        calls = []
+
+        def fake_run(argv, **kwargs):
+            calls.append(argv)
+            return subprocess.CompletedProcess(argv, 0, " M src/x.py\n", "")
+
+        monkeypatch.setattr(bench.subprocess, "run", fake_run)
+        assert bench.tree_dirty() is True
+        assert calls == [["git", "status", "--porcelain", "--", "."]]
+        monkeypatch.setattr(
+            bench.subprocess, "run",
+            lambda argv, **kwargs: subprocess.CompletedProcess(
+                argv, 0, "", ""))
+        assert bench.tree_dirty() is False
+        monkeypatch.setattr(
+            bench.subprocess, "run",
+            lambda argv, **kwargs: subprocess.CompletedProcess(
+                argv, 128, "", "not a git repository"))
+        assert bench.tree_dirty() is None
 
 
 class TestBenchCli:
@@ -154,6 +177,9 @@ class TestBenchCli:
                      "--check", str(out_path)]) == 0
         captured = capsys.readouterr()
         assert "check ok" in captured.out
+        # Both sides' revisions (with any dirty suffix) are named.
+        assert f"[check] this run @ clirev" in captured.out
+        assert f"{out_path} @ clirev" in captured.out
 
     def test_cli_check_failure_exits_nonzero(self, tmp_path, monkeypatch):
         monkeypatch.setattr(bench, "BENCH_CELLS", (TINY_CELL,))

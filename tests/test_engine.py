@@ -10,6 +10,8 @@ Acceptance properties (ISSUE 1):
 """
 
 import json
+import os
+import shutil
 
 import pytest
 
@@ -234,6 +236,29 @@ class TestResultStore:
         again = SimEngine(store=DiskStore(cache))
         again.run_workload(WORKLOAD, "icount", spec=TINY)
         assert again.counters.simulated == 1
+
+    def test_misfiled_entry_is_a_miss(self, tmp_path):
+        """An entry copied under another cell's key (e.g. shard caches
+        merged by hand) must not be served as that cell's result."""
+        cache = str(tmp_path / "cache")
+        cell_a = SweepCell.make(WORKLOAD, "icount", spec=TINY)
+        cell_b = SweepCell.make(WORKLOAD, "rat", spec=TINY)
+        store = DiskStore(cache)
+        store.put(cell_a.key(), simulate_cell(cell_a))
+        path_b = store._path(cell_b.key())
+        os.makedirs(os.path.dirname(path_b), exist_ok=True)
+        shutil.copyfile(store._path(cell_a.key()), path_b)
+
+        fresh = DiskStore(cache)
+        assert fresh.get(cell_b.key()) is None
+        assert fresh.get(cell_a.key()) is not None
+        engine = SimEngine(store=DiskStore(cache))
+        [run_a, run_b] = engine.run_cells([cell_a, cell_b])
+        assert engine.counters.simulated == 1     # B, re-simulated
+        assert engine.counters.store_hits == 1    # A, served
+        assert run_b.result.policy == "rat"
+        assert canonical(run_b.result) == canonical(simulate_cell(cell_b))
+        assert canonical(run_a.result) == canonical(simulate_cell(cell_a))
 
     def test_memory_store_hit_counting(self):
         store = MemoryStore()

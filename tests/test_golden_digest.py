@@ -26,6 +26,7 @@ import pytest
 
 from repro.config import baseline
 from repro.core.processor import SMTProcessor
+from repro.sim.kernels import python_run_loop, resolve_run_loop
 from repro.sim.store import canonical_json
 from repro.trace.generator import generate_trace
 from repro.trace.workloads import Workload
@@ -67,8 +68,13 @@ GOLDEN_CELLS = {
 }
 
 
-def simulate_golden_cell(cell_id: str):
-    """Run one pinned cell from scratch (no engine, no cache)."""
+def simulate_golden_cell(cell_id: str, kernel_tier: str = "python"):
+    """Run one pinned cell from scratch (no engine, no cache).
+
+    Under any ``kernel_tier`` but ``python`` the cell must resolve to a
+    generated kernel: every golden cell is an in-package policy at <= 4
+    threads, so a fallback to the python loop is a generator regression.
+    """
     cell = GOLDEN_CELLS[cell_id]
     klass, benchmarks, policy, trace_len, min_passes, max_cycles = cell[:6]
     overrides = cell[6] if len(cell) > 6 else {}
@@ -76,6 +82,9 @@ def simulate_golden_cell(cell_id: str):
     traces = [generate_trace(name, trace_len, seed=1) for name in benchmarks]
     config = baseline().with_policy(policy, **overrides)
     processor = SMTProcessor(config, traces)
+    if kernel_tier != "python":
+        assert resolve_run_loop(processor.pipeline) is not python_run_loop, \
+            f"{cell_id}: the {kernel_tier!r} tier fell back to python"
     return processor.run(min_passes=min_passes, max_cycles=max_cycles)
 
 
@@ -102,17 +111,23 @@ def test_golden_file_matches_matrix(golden):
 def kernel_tier(request, monkeypatch):
     """Run the depending test once per kernel tier.
 
-    The digests were recorded long before the specialized tier existed,
-    so a pass under ``specialized`` proves the generated kernels are
-    bit-identical to the original pipeline, not merely to each other.
+    ``python`` forces the portable loop; ``specialized`` leaves
+    ``REPRO_KERNEL`` at its default, which resolves to the generated
+    kernel.  The digests were recorded long before the specialized tier
+    existed, so a pass under ``specialized`` proves the generated
+    kernels are bit-identical to the original pipeline, not merely to
+    each other.
     """
-    monkeypatch.setenv("REPRO_KERNEL", request.param)
+    if request.param == "python":
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+    else:
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
     return request.param
 
 
 @pytest.mark.parametrize("cell_id", sorted(GOLDEN_CELLS))
 def test_simresult_bit_identical(golden, kernel_tier, cell_id):
-    result = simulate_golden_cell(cell_id)
+    result = simulate_golden_cell(cell_id, kernel_tier)
     expected = golden["digests"][cell_id]
     actual = digest_of(result)
     assert actual == expected, (

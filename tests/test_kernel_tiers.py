@@ -5,7 +5,8 @@ digests and the advance-vs-step fuzz both run per tier); this module
 covers the *selection* machinery: the ``REPRO_KERNEL`` knob, the CLI
 flag, fallback for uncovered policies (never an error), per-process
 memoization by machine shape, per-``run()`` re-resolution of the
-mutable key folds, and knob propagation into process-pool workers.
+mutable key folds, and knob propagation into process-pool workers —
+plus python-vs-default parity across the kernel's whole thread range.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from repro.config import KERNEL_ENV_VAR, baseline, kernel_mode
 from repro.core.kernel_cache import (cache_info, clear_cache,
                                      specialized_run_loop)
-from repro.core.kernel_gen import specialization_key
+from repro.core.kernel_gen import MAX_THREADS, specialization_key
 from repro.core.processor import SMTProcessor
 from repro.errors import ConfigError
 from repro.policies.icount import ICountPolicy
@@ -40,31 +41,34 @@ def _processor(policy="icount", benchmarks=("art", "mcf"),
 def test_kernel_mode_env_values(monkeypatch):
     monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
     assert kernel_mode() == "auto"
-    for value in ("auto", "python", "specialized", " PYTHON "):
+    for value in ("auto", "python", " PYTHON "):
         monkeypatch.setenv(KERNEL_ENV_VAR, value)
         assert kernel_mode() == value.strip().lower()
-    monkeypatch.setenv(KERNEL_ENV_VAR, "fortran")
-    with pytest.raises(ConfigError):
-        kernel_mode()
+    for value in ("fortran", "specialized"):
+        monkeypatch.setenv(KERNEL_ENV_VAR, value)
+        with pytest.raises(ConfigError):
+            kernel_mode()
 
 
 def test_cli_kernel_flag_sets_env(monkeypatch):
-    from repro.cli import _apply_speculate, build_parser
+    from repro.cli import _apply_kernel, build_parser
     monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
     args = build_parser().parse_args(["table1", "--kernel", "python"])
-    _apply_speculate(args)
+    _apply_kernel(args)
     assert os.environ[KERNEL_ENV_VAR] == "python"
     # absent flag leaves the environment alone
     monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    _apply_speculate(build_parser().parse_args(["table1"]))
+    _apply_kernel(build_parser().parse_args(["table1"]))
     assert KERNEL_ENV_VAR not in os.environ
 
 
 def test_bench_cli_takes_kernel_flag():
     from repro.cli import build_bench_parser
     args = build_bench_parser().parse_args(["--quick", "--kernel",
-                                            "specialized"])
-    assert args.kernel == "specialized"
+                                            "python"])
+    assert args.kernel == "python"
+    with pytest.raises(SystemExit):
+        build_bench_parser().parse_args(["--kernel", "specialized"])
 
 
 # --- registry + selection ---------------------------------------------------
@@ -92,7 +96,7 @@ def test_resolution_rereads_mutable_switches(monkeypatch):
     """``cycle_skip`` is a mutable pipeline flag tests flip between
     runs; the key folds it, so re-resolving must yield the matching
     kernel variant, not the memoized first one."""
-    monkeypatch.setenv(KERNEL_ENV_VAR, "specialized")
+    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
     processor = _processor()
     with_skip = resolve_run_loop(processor.pipeline)
     processor.pipeline.cycle_skip = False
@@ -114,7 +118,7 @@ class OpaqueFetchOrder(ICountPolicy):
 
 
 def test_uncovered_policy_falls_back_to_python(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV_VAR, "specialized")
+    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
     traces = [generate_trace("art", 200, 1)]
     config = baseline()
     processor = SMTProcessor(config, traces,
@@ -130,7 +134,7 @@ def test_uncovered_policy_falls_back_to_python(monkeypatch):
 def test_fallback_matches_python_tier(monkeypatch):
     """The fallback is the python tier, bit for bit."""
     results = {}
-    for mode in ("python", "specialized"):
+    for mode in ("python", "auto"):
         monkeypatch.setenv(KERNEL_ENV_VAR, mode)
         traces = [generate_trace("art", 200, 1)]
         config = baseline()
@@ -138,7 +142,33 @@ def test_fallback_matches_python_tier(monkeypatch):
                                  policy=OpaqueFetchOrder(config))
         results[mode] = processor.run(min_passes=1,
                                       max_cycles=200_000).to_dict()
-    assert results["python"] == results["specialized"]
+    assert results["python"] == results["auto"]
+
+
+#: The advance-vs-step suite's thread counts: the 1/2/4 baseline shape
+#: plus the non-power-of-two rotations up to MAX_THREADS.
+PARITY_THREAD_COUNTS = (1, 2, 4, 3, 5, 6, MAX_THREADS)
+PARITY_BENCHMARKS = ("art", "mcf", "gzip", "swim", "twolf", "bzip2",
+                     "applu", "eon")
+
+
+@pytest.mark.parametrize("policy", ["rat", "dcra"])
+@pytest.mark.parametrize("threads", PARITY_THREAD_COUNTS)
+def test_default_tier_matches_python_across_thread_range(monkeypatch,
+                                                         threads, policy):
+    """The default tier compiles a kernel for every thread count up to
+    MAX_THREADS and matches the python tier bit for bit there."""
+    results = {}
+    for mode in ("python", "auto"):
+        monkeypatch.setenv(KERNEL_ENV_VAR, mode)
+        processor = _processor(policy, PARITY_BENCHMARKS[:threads],
+                               trace_len=160)
+        if mode == "auto":
+            assert resolve_run_loop(processor.pipeline) \
+                is not python_run_loop
+        results[mode] = processor.run(min_passes=1,
+                                      max_cycles=200_000).to_dict()
+    assert results["python"] == results["auto"]
 
 
 # --- memoization ------------------------------------------------------------
@@ -168,8 +198,8 @@ def test_kernel_source_attached():
 
 def test_process_pool_workers_inherit_kernel_choice(monkeypatch):
     """The tier request travels to process-pool workers via the
-    environment, like ``REPRO_SPECULATE``; the pooled results must be
-    bit-identical to a serial python-tier run."""
+    environment; the pooled results must be bit-identical to a serial
+    python-tier run."""
     from repro.sim.engine import SimEngine, SweepCell
     from repro.sim.executors import ProcessPoolBackend, SerialBackend
     from repro.sim.runner import RunSpec
@@ -190,7 +220,7 @@ def test_process_pool_workers_inherit_kernel_choice(monkeypatch):
     monkeypatch.setenv(KERNEL_ENV_VAR, "python")
     reference = fingerprints(
         SimEngine(backend=SerialBackend()).run_cells(cells))
-    monkeypatch.setenv(KERNEL_ENV_VAR, "specialized")
+    monkeypatch.setenv(KERNEL_ENV_VAR, "auto")
     pooled = fingerprints(
         SimEngine(backend=ProcessPoolBackend(jobs=2)).run_cells(cells))
     assert pooled == reference

@@ -190,9 +190,6 @@ HOOK_FIXTURE = {
         "\n"
         "    def skip_horizon(self):\n"
         "        pass\n"
-        "\n"
-        "    def macro_step_ok(self):\n"
-        "        return True\n"
     ),
     "policies/derived.py": (
         "from .base import FetchPolicy\n"
@@ -210,9 +207,6 @@ HOOK_FIXTURE = {
         "    def skip_horizon(self):\n"
         "        pass\n"
         "\n"
-        "    def macro_step_ok(self):\n"
-        "        return True\n"
-        "\n"
         "\n"
         "class Bystander:\n"
         "    def on_cycle(self):\n"
@@ -227,13 +221,14 @@ def test_hook_conformance_rule(tmp_path):
     found = findings_by_rule(report, "hook-conformance")
     assert all("BadPolicy" in f.message for f in found), \
         "\n".join(f.render() for f in found)
-    assert len(found) == 2   # horizon + macro
+    assert len(found) == 1
     assert {f.path for f in found} == {"policies/derived.py"}
 
 
 def test_static_and_runtime_hook_verdicts_agree():
-    """The lint rule and the pipeline auto-veto share one classifier —
-    pin that they reach identical verdicts on every registered policy."""
+    """The lint rule and the pipeline's cycle-skip opt-in share one
+    classifier — pin that they reach identical verdicts on every
+    registered policy."""
     ctx = LintContext(PACKAGE_ROOT)
     static = policy_verdicts(ctx)
     for name, policy_class in sorted(POLICY_REGISTRY.items()):
@@ -242,10 +237,8 @@ def test_static_and_runtime_hook_verdicts_agree():
             f"{class_name} (policy {name!r}) not seen by the lint rule"
         assert static[class_name]["horizon"] == \
             hookspec.horizon_covers_on_cycle(policy_class), class_name
-        assert static[class_name]["macro"] == \
-            hookspec.macro_covers_policy(policy_class), class_name
     # The agreement is meaningful: every registered policy opts in.
-    assert all(v["horizon"] and v["macro"] for v in static.values())
+    assert all(v["horizon"] for v in static.values())
 
 
 # ---------------------------------------------------------------------------

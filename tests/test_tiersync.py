@@ -1,4 +1,4 @@
-"""Tests for the tier-sync congruence engine and the guard-purity rule.
+"""Tests for the tier-sync congruence engine and the horizon-purity rule.
 
 The acceptance criterion of the kernel-tier static gate: a semantic
 one-line edit to a pipeline hot path (or to its emitter) that is not
@@ -27,7 +27,7 @@ from repro.analysis.hotpath import check_function
 PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
 #: The hot-path functions the FRAGMENTS table must keep covered: the
-#: four pipeline stages plus the macro layer and the event drain.  A
+#: four pipeline stages plus the event drain.  A
 #: fragment removal that drops one of these is a gate regression, not a
 #: declaration detail.
 REQUIRED_COVERAGE = (
@@ -37,7 +37,6 @@ REQUIRED_COVERAGE = (
     "core/pipeline.py:SMTPipeline._issue_stage",
     "core/pipeline.py:SMTPipeline._issue_load",
     "core/pipeline.py:SMTPipeline._dispatch_stage",
-    "core/pipeline.py:SMTPipeline._macro_dispatch",
     "core/pipeline.py:SMTPipeline._dispatch",
     "core/pipeline.py:SMTPipeline._fetch_stage",
     "core/pipeline.py:SMTPipeline._fetch_thread",
@@ -102,8 +101,8 @@ def test_fragment_coverage_counts_all_claimed_lines():
     assert expected > 500   # the hot tier is not a token sample
 
 
-def test_guard_purity_clean_on_real_tree():
-    report = run_lint(PACKAGE_ROOT, LintOptions(rules=["guard-purity"]))
+def test_horizon_purity_clean_on_real_tree():
+    report = run_lint(PACKAGE_ROOT, LintOptions(rules=["horizon-purity"]))
     assert report.findings == [], \
         "\n".join(f.render() for f in report.findings)
 
@@ -159,27 +158,12 @@ def test_undeclared_new_local_fails(package_copy):
     assert "fetched_n" in message
 
 
-def test_mutation_hoisted_above_macro_guard_fails(package_copy):
-    # The guard-purity contract: every entry guard holds before any
-    # machine mutation.  Hoist one mutation above the plan guards.
-    _edit(package_copy, "core/pipeline.py",
-          "        start = fetch_queue[0].trace_index",
-          "        start = fetch_queue[0].trace_index\n"
-          "        thread.rob_held += 1")
-    report = run_lint(package_copy, LintOptions(rules=["guard-purity"]))
-    assert report.exit_code() == 1
-    message = report.findings[0].message
-    assert "thread.rob_held" in message
-    assert "_macro_dispatch" in message
-    assert "reachable before a macro-guard abort" in message
-
-
 def test_side_effecting_skip_horizon_fails(package_copy):
     _edit(package_copy, "policies/dcra.py",
           "        remainder = now % self._interval",
           "        self._last_skip = now\n"
           "        remainder = now % self._interval")
-    report = run_lint(package_copy, LintOptions(rules=["guard-purity"]))
+    report = run_lint(package_copy, LintOptions(rules=["horizon-purity"]))
     assert report.exit_code() == 1
     message = report.findings[0].message
     assert "self._last_skip" in message and "skip_horizon" in message
@@ -229,7 +213,7 @@ def test_unknown_rule_exits_2_and_lists_rules(capsys):
     assert lint_main(["--rules", "no-such-rule"]) == 2
     err = capsys.readouterr().err
     assert "unknown lint rule 'no-such-rule'" in err
-    for name in ("tier-sync", "guard-purity", "hot-path-hygiene",
+    for name in ("tier-sync", "horizon-purity", "hot-path-hygiene",
                  "salt-fingerprint"):
         assert name in err
 
@@ -252,11 +236,11 @@ def test_accept_fingerprints_names_repinned_modules(package_copy, capsys):
 
 
 def test_json_summary_reports_rule_stats_and_coverage(capsys):
-    assert lint_main(["--rules", "tier-sync,guard-purity",
+    assert lint_main(["--rules", "tier-sync,horizon-purity",
                       "--format", "json"]) == 0
     document = json.loads(capsys.readouterr().out)
     summary = document["summary"]
-    assert set(summary["rules"]) == {"tier-sync", "guard-purity"}
+    assert set(summary["rules"]) == {"tier-sync", "horizon-purity"}
     for stats in summary["rules"].values():
         assert stats["findings"] == 0
         assert stats["seconds"] >= 0
