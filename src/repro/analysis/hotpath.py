@@ -53,6 +53,8 @@ HOT_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("branch/perceptron.py", "PerceptronPredictor.predict"),
     ("core/thread.py", "ThreadContext.next_inst"),
     ("sim/fame.py", "fame_run"),
+    # The per-instruction trace walk every cell's set-up pays.
+    ("trace/generator.py", "TraceGenerator.generate"),
     # The kernel-tier entry points: the portable FAME loop and the
     # emitters whose *output* is the specialized per-cycle body (keeping
     # the generators clean keeps the generated loops clean).

@@ -86,7 +86,8 @@ class CacheConfig:
 
     def to_dict(self) -> Dict[str, int]:
         """Canonical JSON-ready form (stable field order via sort_keys)."""
-        return dataclasses.asdict(self)
+        return {"size_bytes": self.size_bytes, "assoc": self.assoc,
+                "line_bytes": self.line_bytes, "latency": self.latency}
 
     @classmethod
     def from_dict(cls, data: Dict[str, int]) -> "CacheConfig":
@@ -216,8 +217,11 @@ class SMTConfig:
             "int_iq_size", "fp_iq_size", "ls_iq_size",
             "int_units", "fp_units", "ldst_units",
             "fetch_threads", "fetch_buffer_size",
-            "predictor_entries", "predictor_history",
+            "predictor_entries", "predictor_history", "btb_entries",
             "memory_latency", "mshr_entries", "max_cycles",
+            # Divisors of the DCRA / hill-climbing / MLP policies.
+            "dcra_sample_interval", "hill_epoch_cycles",
+            "mlp_predictor_entries",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -255,13 +259,18 @@ class SMTConfig:
         Every field is a JSON scalar or a :class:`CacheConfig` dict, so
         ``json.dumps(config.to_dict(), sort_keys=True)`` is a stable
         canonical encoding: equal configs always serialize identically.
+        Built field by field: ``dataclasses.asdict`` deep-copies every
+        scalar, and every cell key pays for this encoding.
         """
-        return dataclasses.asdict(self)
+        data = {name: getattr(self, name) for name in _CONFIG_FIELDS}
+        for level in _CACHE_LEVELS:
+            data[level] = data[level].to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SMTConfig":
         data = dict(data)
-        for level in ("icache", "dcache", "l2"):
+        for level in _CACHE_LEVELS:
             if isinstance(data.get(level), dict):
                 data[level] = CacheConfig.from_dict(data[level])
         return cls(**data)
@@ -309,6 +318,12 @@ class SMTConfig:
             ("Caches line size", f"{self.l2.line_bytes} bytes"),
             ("Main memory latency", f"{self.memory_latency} cycles"),
         )
+
+
+#: SMTConfig field names in declaration order, and the nested
+#: CacheConfig fields among them (for the to_dict/from_dict encoders).
+_CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(SMTConfig))
+_CACHE_LEVELS = ("icache", "dcache", "l2")
 
 
 def baseline() -> SMTConfig:

@@ -13,7 +13,6 @@ import enum
 
 from ..isa import (
     IS_BRANCH_BY_CODE,
-    IS_FP_BY_CODE,
     IS_LOAD_BY_CODE,
     IS_MEM_BY_CODE,
     IS_STORE_BY_CODE,
@@ -34,11 +33,11 @@ class InstState(enum.IntEnum):
     SQUASHED = 6     # cancelled by misprediction, flush, or runahead exit
 
 
-#: (is_load, is_store, is_mem, is_branch, is_fp) per op code — a single
-#: index + unpack in the constructor instead of five table reads.
+#: (is_load, is_store, is_mem, is_branch) per op code — a single
+#: index + unpack in the constructor instead of four table reads.
 _OP_FLAGS = tuple(
     (IS_LOAD_BY_CODE[code], IS_STORE_BY_CODE[code], IS_MEM_BY_CODE[code],
-     IS_BRANCH_BY_CODE[code], IS_FP_BY_CODE[code])
+     IS_BRANCH_BY_CODE[code])
     for code in range(len(IS_LOAD_BY_CODE)))
 
 
@@ -50,11 +49,11 @@ class DynInst:
         "op", "pc", "addr",
         "dest_arch", "src1_arch", "src2_arch",
         "pdest", "psrc1", "psrc2", "old_pdest",
-        "state", "invalid", "runahead", "replay",
+        "state", "invalid", "replay",
         "pending_srcs", "in_iq", "counted", "l2_counted",
         "src_inv_mask",
         "complete_cycle", "l2_miss", "mispredicted", "taken",
-        "is_load", "is_store", "is_mem", "is_branch", "is_fp",
+        "is_load", "is_store", "is_mem", "is_branch",
     )
 
     def __init__(self, tid: int, seq: int, trace_index: int, pass_no: int,
@@ -80,7 +79,6 @@ class DynInst:
 
         self.state = InstState.FETCHED
         self.invalid = False        # runahead INV bit of the *result*
-        self.runahead = False       # fetched while its thread ran ahead
         self.replay = False         # ready load deferred on a full MSHR file
         self.pending_srcs = 0
         self.in_iq = False
@@ -91,8 +89,8 @@ class DynInst:
         self.l2_miss = False        # detected long-latency (L2) miss
         self.mispredicted = False
 
-        (self.is_load, self.is_store, self.is_mem, self.is_branch,
-         self.is_fp) = _OP_FLAGS[op]
+        (self.is_load, self.is_store, self.is_mem,
+         self.is_branch) = _OP_FLAGS[op]
 
     @property
     def active(self) -> bool:
@@ -102,5 +100,4 @@ class DynInst:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<DynInst t{self.tid} #{self.seq} {OpClass(self.op).name} "
                 f"idx={self.trace_index} {InstState(self.state).name}"
-                f"{' INV' if self.invalid else ''}"
-                f"{' RA' if self.runahead else ''}>")
+                f"{' INV' if self.invalid else ''}>")

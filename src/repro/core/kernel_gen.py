@@ -354,7 +354,6 @@ def _emit_commit(key: KernelKey, emit) -> None:
     emit(prefix + "        rob._occupancy -= 1")
     emit(prefix + "        rob_pt[tid] -= 1")
     emit(prefix + "        head.state = retired_state")
-    emit(prefix + "        thread.rob_held -= 1")
     emit(prefix + "        stats.committed += 1")
     emit(prefix + "        gstats.committed += 1")
     emit(prefix + "        pipeline._last_commit_cycle = now")
@@ -394,7 +393,6 @@ def _emit_commit(key: KernelKey, emit) -> None:
         emit("                    rob._occupancy -= 1")
         emit("                    rob_pt[tid] -= 1")
         emit("                    head.state = retired_state")
-        emit("                    thread.rob_held -= 1")
         emit("                    stats.pseudo_retired += 1")
         emit("                    pipeline._last_commit_cycle = now")
         emit("                    commit_budget -= 1")
@@ -625,7 +623,6 @@ def _emit_dispatch(key: KernelKey, emit) -> None:
         emit("                        robq.append(inst)")
         emit("                        rob._occupancy += 1")
         emit("                        rob_pt[tid] += 1")
-        emit("                        thread.rob_held += 1")
         emit("                        inst.state = completed_state")
         emit("                        inst.invalid = True")
         emit("                        inst.complete_cycle = now")
@@ -658,7 +655,6 @@ def _emit_dispatch(key: KernelKey, emit) -> None:
     emit("                    robq.append(inst)")
     emit("                    rob._occupancy += 1")
     emit("                    rob_pt[tid] += 1")
-    emit("                    thread.rob_held += 1")
     emit("                    inst.state = dispatched_state")
     emit("                    stats.dispatched += 1")
     emit("                    pending = 0")
@@ -813,8 +809,6 @@ def _emit_fetch(key: KernelKey, emit) -> None:
     emit("                    inst.addr = data_base + (")
     emit("                        (addrs[cursor] + pass_no * pass_stride)")
     emit("                        % data_region)")
-    if ur:
-        emit("                inst.runahead = in_runahead")
     emit("                seq += 1")
     emit("                cursor += 1")
     emit("                if cursor >= trace_len:")

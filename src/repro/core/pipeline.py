@@ -636,7 +636,6 @@ class SMTPipeline:
                     rob._occupancy -= 1
                     rob.per_thread[tid] -= 1
                     head.state = _RETIRED
-                    thread.rob_held -= 1
                     stats.committed += 1
                     gstats.committed += 1
                     self._last_commit_cycle = now
@@ -677,7 +676,6 @@ class SMTPipeline:
             rob._occupancy -= 1
             rob.per_thread[tid] -= 1
             head.state = _RETIRED
-            thread.rob_held -= 1
             stats.pseudo_retired += 1
             # Forward progress, albeit speculative.
             self._last_commit_cycle = now
@@ -709,7 +707,6 @@ class SMTPipeline:
         self.runahead.enter(thread, trigger, now)
         self.rob.pop_head(thread.tid)
         trigger.state = _RETIRED
-        thread.rob_held -= 1
         thread.stats.pseudo_retired += 1
         if trigger.l2_counted:
             trigger.l2_counted = False
@@ -995,7 +992,6 @@ class SMTPipeline:
         if inst.l2_counted:
             inst.l2_counted = False
             thread.pending_l2_misses -= 1
-        thread.rob_held -= 1
         if inst.pdest != NO_REG:
             if inst.dest_arch < _NINT:
                 klass = 0
@@ -1043,7 +1039,6 @@ class SMTPipeline:
             rob._queues[inst.tid].append(inst)   # inlined append
             rob._occupancy += 1
             rob.per_thread[inst.tid] += 1
-            thread.rob_held += 1
             inst.state = _COMPLETED
             inst.invalid = True
             inst.complete_cycle = now
@@ -1067,7 +1062,6 @@ class SMTPipeline:
         rob._queues[inst.tid].append(inst)   # inlined append, checked above
         rob._occupancy += 1
         rob.per_thread[inst.tid] += 1
-        thread.rob_held += 1
         inst.state = _DISPATCHED
         thread.stats.dispatched += 1
 
@@ -1265,7 +1259,6 @@ class SMTPipeline:
             if inst.is_mem:
                 inst.addr = data_base + (
                     (addrs[cursor] + pass_no * pass_stride) % data_region)
-            inst.runahead = in_runahead
             seq += 1
             cursor += 1
             if cursor >= trace_len:

@@ -14,9 +14,12 @@ from typing import Dict, List, Optional, Sequence
 
 from ..config import SMTConfig
 from ..errors import SimulationError
+from ..isa import IS_MEM_BY_CODE, OpClass
 from ..trace.trace import Trace
 from .pipeline import SMTPipeline
 from .stats import ThreadStats
+
+_BRANCH_CODE = int(OpClass.BRANCH)
 
 
 @dataclasses.dataclass
@@ -151,59 +154,52 @@ class SMTProcessor:
         stay cold and keep missing during measurement, as they would at
         steady state.
         """
-        import numpy as np
-        from ..isa import OpClass
         pipeline = self.pipeline
         mem = pipeline.mem
+        btb_insert = pipeline.btb.lookup_and_insert
+        predict = pipeline.predictor.predict
         l2_bytes = self.config.l2.size_bytes
         line_shift = self.config.l2.line_bytes.bit_length() - 1
         for thread in pipeline.threads:
-            trace = thread.trace
-            ops = trace.op
-            mem_mask = np.isin(ops, (int(OpClass.LOAD), int(OpClass.STORE),
-                                     int(OpClass.FLOAD),
-                                     int(OpClass.FSTORE)))
-            addrs = trace.addr[mem_mask]
-            if thread.data_region <= 0.75 * l2_bytes:
-                chosen = addrs
-            else:
-                lines = addrs >> line_shift
-                order = np.arange(len(lines))
-                first: dict = {}
-                last: dict = {}
-                for position, line in zip(order, lines):
-                    line_key = int(line)
-                    if line_key not in first:
-                        first[line_key] = position
-                    last[line_key] = position
+            # The thread's plain-list trace views (see ThreadContext):
+            # iterating the numpy columns would box a scalar per element.
+            addrs = [addr for op, addr in zip(thread.ops, thread.addrs)
+                     if IS_MEM_BY_CODE[op]]
+            if thread.data_region > 0.75 * l2_bytes:
+                lines = [addr >> line_shift for addr in addrs]
+                # A later position overwrites an earlier one, so walking
+                # backwards leaves each line's first position.
+                first = {line: position for position, line in zip(
+                    range(len(lines) - 1, -1, -1), reversed(lines))}
+                last = {line: position
+                        for position, line in enumerate(lines)}
                 span_needed = max(1, len(lines) // 4)
-                resident = {line for line in first
-                            if last[line] - first[line] >= span_needed}
-                keep = np.fromiter((int(line) in resident for line in lines),
-                                   dtype=bool, count=len(lines))
-                chosen = addrs[keep]
-            for addr in chosen:
-                mem.warm_data(thread.physical_addr(int(addr), 0))
-            line_bytes = self.config.icache.line_bytes
+                addrs = [addr for addr, line in zip(addrs, lines)
+                         if last[line] - first[line] >= span_needed]
+            data_base = thread.data_base
+            data_region = thread.data_region
+            # physical_addr(addr, 0), inlined.
+            mem.warm_data([data_base + addr % data_region for addr in addrs])
             last_line = -1
-            branch_op = int(OpClass.BRANCH)
-            taken_col = trace.taken
-            branch_pcs = []
-            for index, pc in enumerate(trace.pc):
-                full_pc = int(pc) + thread.code_offset
-                line = full_pc // line_bytes
+            line_pcs = []
+            branches = []
+            for pc, line, op, taken in zip(thread.pcs_off,
+                                           thread.fetch_lines, thread.ops,
+                                           thread.takens):
                 if line != last_line:
-                    mem.warm_ifetch(full_pc)
+                    line_pcs.append(pc)
                     last_line = line
-                if ops[index] == branch_op:
-                    branch_pcs.append((full_pc, bool(taken_col[index])))
-                    if taken_col[index]:
-                        pipeline.btb.lookup_and_insert(full_pc)
+                if op == _BRANCH_CODE:
+                    branches.append((pc, taken))
+                    if taken:
+                        btb_insert(pc)
+            mem.warm_ifetch(line_pcs)
             # Two training passes: the perceptron needs more than one
             # exposure per branch site to reach its steady accuracy.
+            tid = thread.tid
             for _ in range(2):
-                for full_pc, taken in branch_pcs:
-                    pipeline.predictor.predict(thread.tid, full_pc, taken)
+                for pc, taken in branches:
+                    predict(tid, pc, taken)
         mem.reset_stats()
         pipeline.predictor.predictions = 0
         pipeline.predictor.mispredictions = 0

@@ -43,11 +43,6 @@ class ThreadMode(enum.IntEnum):
     RUNAHEAD = 1
 
 
-#: Hoisted member: ``mode is _RUNAHEAD_MODE`` on the fetch hot path costs
-#: one global load instead of an enum attribute chain.
-_RUNAHEAD_MODE = ThreadMode.RUNAHEAD
-
-
 class ThreadContext:
     """All architectural and microarchitectural state private to a thread."""
 
@@ -57,7 +52,7 @@ class ThreadContext:
         "cursor", "pass_no", "seq",
         "fetch_queue", "fetch_blocked_until", "fetch_gated_until",
         "fetch_line", "fetch_line_ready",
-        "icount", "regs_held", "rob_held", "last_index",
+        "icount", "regs_held", "last_index",
         "runahead_trigger_ready", "runahead_trigger_index",
         "runahead_trigger_pass", "no_retrigger", "retrigger_stride",
         "arch_inv",
@@ -90,7 +85,6 @@ class ThreadContext:
 
         self.icount = 0                # instructions in pre-issue stages
         self.regs_held = [0, 0]        # INT, FP rename registers in use
-        self.rob_held = 0
         self.last_index = len(trace) - 1   # pass boundary (commit hot path)
 
         self.runahead_trigger_ready = -1
@@ -146,7 +140,6 @@ class ThreadContext:
             inst.addr = self.data_base + (
                 (self.addrs[index] + pass_no * self._pass_stride)
                 % self.data_region)
-        inst.runahead = self.mode is _RUNAHEAD_MODE
         self.seq += 1
         self.cursor += 1
         if self.cursor >= len(self.ops):

@@ -67,15 +67,15 @@ class Cache:
     def touch(self, line_addr: int) -> bool:
         """Promote a line to most-recently-used without statistics.
 
-        Used by functional warmup.  Returns True if the line was present.
+        Used by functional warmup, where most first touches miss: the
+        membership test keeps a miss from raising and catching.  Returns
+        True if the line was present.
         """
         cache_set = self._sets[line_addr & self._set_mask]
-        try:
-            position = cache_set.index(line_addr)
-        except ValueError:
+        if line_addr not in cache_set:
             return False
-        if position != len(cache_set) - 1:
-            del cache_set[position]
+        if cache_set[-1] != line_addr:
+            cache_set.remove(line_addr)
             cache_set.append(line_addr)
         return True
 

@@ -16,7 +16,7 @@ assumed); they bypass MSHR capacity limits.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from ..config import SMTConfig
 from .cache import Cache
@@ -249,21 +249,27 @@ class MemoryHierarchy:
 
     # --- functional warmup -----------------------------------------------------
 
-    def warm_data(self, addr: int) -> None:
-        """Install a data line without timing or statistics (warmup)."""
-        line = self.dcache.line_of(addr)
-        if not self.dcache.touch(line):
-            self.dcache.fill(line)
-        if not self.l2.touch(line):
-            self.l2.fill(line)
+    def warm_data(self, addrs: Iterable[int]) -> None:
+        """Install the data lines of ``addrs``, in order, without timing
+        or statistics (functional warmup)."""
+        self._install(self.dcache, addrs)
 
-    def warm_ifetch(self, pc: int) -> None:
-        """Install an instruction line without timing or statistics."""
-        line = self.icache.line_of(pc)
-        if not self.icache.touch(line):
-            self.icache.fill(line)
-        if not self.l2.touch(line):
-            self.l2.fill(line)
+    def warm_ifetch(self, pcs: Iterable[int]) -> None:
+        """Install the instruction lines of ``pcs``, in order, without
+        timing or statistics (functional warmup)."""
+        self._install(self.icache, pcs)
+
+    def _install(self, l1: Cache, addrs: Iterable[int]) -> None:
+        # One call per warmed stream rather than per address: warmup
+        # installs thousands of lines per thread before cycle 0.
+        l2 = self.l2
+        line_bytes = l1.config.line_bytes   # shared by every level
+        for addr in addrs:
+            line = addr // line_bytes
+            if not l1.touch(line):
+                l1.fill(line)
+            if not l2.touch(line):
+                l2.fill(line)
 
     def reset_stats(self) -> None:
         """Zero all counters (after warmup, before measurement)."""

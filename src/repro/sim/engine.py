@@ -35,6 +35,7 @@ in-memory store.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SMTConfig, baseline
@@ -80,6 +81,12 @@ class SweepCell:
                    spec=spec if spec is not None else default_spec())
 
     def key(self) -> str:
+        return self._key
+
+    @functools.cached_property
+    def _key(self) -> str:
+        # Memoized on the (frozen) cell: planning keys each cell several
+        # times, and the key is a pure function of the fields.
         return cache_key(self.workload, self.policy, self.config, self.spec)
 
 

@@ -41,7 +41,8 @@ class RunSpec:
 
     def to_dict(self) -> Dict[str, int]:
         """Canonical JSON-ready form."""
-        return dataclasses.asdict(self)
+        return {"trace_len": self.trace_len, "seed": self.seed,
+                "min_passes": self.min_passes, "max_cycles": self.max_cycles}
 
     @classmethod
     def from_dict(cls, data: Dict[str, int]) -> "RunSpec":

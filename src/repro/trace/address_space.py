@@ -23,6 +23,7 @@ deterministic for a given seed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List
 
 import numpy as np
@@ -83,7 +84,6 @@ class _HotColdRegion:
             raise ValueError("hot_fraction must be in (0, 1]")
         if not 0.0 <= hot_prob <= 1.0:
             raise ValueError("hot_prob must be in [0, 1]")
-        self._rng = rng
         self._base = base
         self._region = region_bytes
         hot_bytes = max(64, int(region_bytes * hot_fraction))
@@ -97,11 +97,14 @@ class _HotColdRegion:
         limit = max(1, region_bytes - self._hot_bytes)
         self._hot_base = int(rng.integers(0, limit))
         self._hot_prob = hot_prob
+        # Bound once: pick_offset runs per generated memory access.
+        self._random = rng.random
+        self._integers = rng.integers
 
     def pick_offset(self) -> int:
-        if self._rng.random() < self._hot_prob:
-            return self._hot_base + int(self._rng.integers(0, self._hot_bytes))
-        return int(self._rng.integers(0, self._region))
+        if self._random() < self._hot_prob:
+            return self._hot_base + int(self._integers(0, self._hot_bytes))
+        return int(self._integers(0, self._region))
 
     @property
     def hot_bytes(self) -> int:
@@ -153,11 +156,14 @@ class StreamMixer:
         total = float(sum(weights))
         if total <= 0:
             raise ValueError("weights must sum to a positive value")
-        self._rng = rng
+        self._random = rng.random
         self._streams = streams
-        self._cumulative = np.cumsum([w / total for w in weights])
+        self._last = len(streams) - 1
+        # numpy's cumulative sums as Python floats: bisect_right over them
+        # is searchsorted(side="right") on the same values, without a
+        # numpy scalar round trip per pick.
+        self._cumulative = np.cumsum([w / total for w in weights]).tolist()
 
     def pick(self) -> AddressStream:
-        draw = self._rng.random()
-        index = int(np.searchsorted(self._cumulative, draw, side="right"))
-        return self._streams[min(index, len(self._streams) - 1)]
+        index = bisect_right(self._cumulative, self._random())
+        return self._streams[index if index < self._last else self._last]

@@ -47,9 +47,6 @@ class BasicBlock:
     def branch_pc(self) -> int:
         return self.start_pc + (self.length - 1) * INSTRUCTION_BYTES
 
-    def slot_pc(self, slot: int) -> int:
-        return self.start_pc + slot * INSTRUCTION_BYTES
-
 
 class ControlFlowGraph:
     """The static code skeleton a trace generator walks."""
@@ -77,26 +74,29 @@ class ControlFlowGraph:
         pc = CODE_SEGMENT_BASE
         lengths = MIN_BLOCK_LEN + rng.geometric(
             1.0 / max(1, mean_block_len - MIN_BLOCK_LEN + 1), size=num_blocks) - 1
-        for index in range(num_blocks):
-            length = int(lengths[index])
+        # Bound once: large-footprint benchmarks build thousands of blocks.
+        random = rng.random
+        integers = rng.integers
+        beta = rng.beta
+        for index, length in enumerate(lengths.tolist()):
             # Taken target: back-edge to a nearby block (loop) or a jump.
-            if rng.random() < loop_bias:
+            if random() < loop_bias:
                 span = min(8, index) if index else 0
-                target = index - int(rng.integers(0, span + 1))
+                target = index - int(integers(0, span + 1))
                 if target == index:
                     # Self-loop on a >=2 instruction block is fine (PC
                     # sequence ...branch_pc, start_pc... never repeats).
                     target = index
             else:
-                if rng.random() < far_jump_prob:
-                    target = int(rng.integers(0, num_blocks))
+                if random() < far_jump_prob:
+                    target = int(integers(0, num_blocks))
                 else:
                     target = min(num_blocks - 1,
-                                 index + 1 + int(rng.integers(0, 8)))
+                                 index + 1 + int(integers(0, 8)))
             # Strongly biased branches are what the perceptron learns well.
-            bias = float(rng.beta(bias_concentration, 1.0))
+            bias = float(beta(bias_concentration, 1.0))
             # Mix of mostly-taken and mostly-not-taken blocks.
-            if rng.random() < 0.4:
+            if random() < 0.4:
                 bias = 1.0 - bias
             self.blocks.append(BasicBlock(
                 index=index, start_pc=pc, length=length,
@@ -117,9 +117,6 @@ class ControlFlowGraph:
 
         Returns (taken, next_block).
         """
-        taken = bool(rng.random() < block.taken_bias)
-        if taken:
-            next_index = block.taken_target
-        else:
-            next_index = self.fallthrough(block)
-        return taken, self.blocks[next_index]
+        if rng.random() < block.taken_bias:
+            return True, self.blocks[block.taken_target]
+        return False, self.blocks[self.fallthrough(block)]

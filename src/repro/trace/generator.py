@@ -20,13 +20,15 @@ identical trace.
 from __future__ import annotations
 
 import functools
+import itertools
 import zlib
+from collections import deque
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from ..errors import TraceError
-from ..isa import NO_REG, OpClass
+from ..isa import INSTRUCTION_BYTES, NO_REG, OpClass
 from .address_space import (
     PointerChaseStream,
     RandomStream,
@@ -59,34 +61,19 @@ _ADDR_ALU_SHARE = 0.4
 #: Fraction of loads/stores in FP-suite code that move FP data.
 _FP_MEM_SHARE = 0.7
 
-#: Recent-writer window per register class for dependence sampling.
-_WRITER_WINDOW = 64
-
-
-class _WriterRing:
-    """Recent destination registers of one class, for dependence sampling."""
-
-    __slots__ = ("_regs", "_size")
-
-    def __init__(self, size: int = _WRITER_WINDOW) -> None:
-        self._regs: List[int] = []
-        self._size = size
-
-    def push(self, reg: int) -> None:
-        self._regs.append(reg)
-        if len(self._regs) > self._size:
-            del self._regs[0]
-
-    def sample(self, rng: np.random.Generator, mean_distance: float) -> int:
-        """A register written ~geometric(mean_distance) writes ago."""
-        if not self._regs:
-            return NO_REG
-        distance = int(rng.geometric(1.0 / max(1.0, mean_distance)))
-        distance = min(distance, len(self._regs))
-        return self._regs[-distance]
-
-    def __len__(self) -> int:
-        return len(self._regs)
+#: Op codes the walk writes into the ``op`` column (plain ints: the
+#: columns are built as lists and converted once).
+_IALU = int(OpClass.IALU)
+_IMUL = int(OpClass.IMUL)
+_FADD = int(OpClass.FADD)
+_FMUL = int(OpClass.FMUL)
+_FDIV = int(OpClass.FDIV)
+_LOAD = int(OpClass.LOAD)
+_STORE = int(OpClass.STORE)
+_FLOAD = int(OpClass.FLOAD)
+_FSTORE = int(OpClass.FSTORE)
+_BRANCH = int(OpClass.BRANCH)
+_SYNC = int(OpClass.SYNC)
 
 
 class TraceGenerator:
@@ -130,37 +117,6 @@ class TraceGenerator:
                 load_p + store_p + fp_p + imul_p,
                 load_p + store_p + fp_p + imul_p + sync_p]
 
-    def _draw_op(self, thresholds: List[float]) -> OpClass:
-        """Draw one straight-line op class from the profile mix.
-
-        Ops are drawn per dynamic visit (not statically per code slot) so
-        the dynamic mix converges to the profile regardless of which basic
-        blocks happen to be hot.
-        """
-        p = self.profile
-        rng = self._rng
-        draw = rng.random()
-        if draw < thresholds[0]:
-            if p.is_fp and rng.random() < _FP_MEM_SHARE:
-                return OpClass.FLOAD
-            return OpClass.LOAD
-        if draw < thresholds[1]:
-            if p.is_fp and rng.random() < _FP_MEM_SHARE:
-                return OpClass.FSTORE
-            return OpClass.STORE
-        if draw < thresholds[2]:
-            fp_draw = rng.random()
-            if fp_draw < p.fdiv_fraction:
-                return OpClass.FDIV
-            if fp_draw < 0.5:
-                return OpClass.FMUL
-            return OpClass.FADD
-        if draw < thresholds[3]:
-            return OpClass.IMUL
-        if draw < thresholds[4]:
-            return OpClass.SYNC
-        return OpClass.IALU
-
     def _build_streams(self) -> StreamMixer:
         p = self.profile
         region = p.working_set_bytes
@@ -196,7 +152,14 @@ class TraceGenerator:
     # --- dynamic walk ------------------------------------------------------------
 
     def generate(self) -> Trace:
-        """Produce the trace (deterministic for this generator's seed)."""
+        """Produce the trace (deterministic for this generator's seed).
+
+        The walk is the per-instruction cost of every cell's set-up, so it
+        runs on locals: bound RNG methods, int op codes, plain-list
+        columns converted once by :class:`Trace`.  Every RNG call, its
+        arguments and its order are part of the trace's identity — the
+        ``tests/data/trace_digests.json`` pins check them.
+        """
         p = self.profile
         rng = self._rng
         cfg = ControlFlowGraph(
@@ -204,27 +167,42 @@ class TraceGenerator:
             mean_block_len=self._block_length_mean(),
             loop_bias=p.loop_bias, far_jump_prob=p.far_jump_prob,
             bias_concentration=p.branch_bias_concentration)
-        thresholds = self._op_thresholds()
+        load_t, store_t, fp_t, imul_t, sync_t = self._op_thresholds()
         mixer = self._build_streams()
 
         n = self.length
-        op_col = np.empty(n, dtype=np.int8)
-        dest_col = np.full(n, NO_REG, dtype=np.int16)
-        src1_col = np.full(n, NO_REG, dtype=np.int16)
-        src2_col = np.full(n, NO_REG, dtype=np.int16)
-        addr_col = np.zeros(n, dtype=np.int64)
-        taken_col = np.zeros(n, dtype=np.bool_)
-        pc_col = np.zeros(n, dtype=np.int64)
+        ops = [0] * n
+        dests = [NO_REG] * n
+        src1s = [NO_REG] * n
+        src2s = [NO_REG] * n
+        addrs = [0] * n
+        takens = [False] * n
+        pcs = [0] * n
 
-        int_writers = _WriterRing(size=20)   # data-pool writers
-        alu_writers = _WriterRing(size=8)    # address-pool writers
-        fp_writers = _WriterRing(size=24)    # all FP writers (incl. loads)
+        random = rng.random
+        geometric = rng.geometric
+        dep_p = 1.0 / max(1.0, p.dep_distance)
+        is_fp = p.is_fp
+        fdiv_fraction = p.fdiv_fraction
+        pick = mixer.pick
+        walk = cfg.walk
+        next_data_dest = itertools.cycle(_DATA_DESTS).__next__
+        next_addr_dest = itertools.cycle(_ADDR_DESTS).__next__
+        next_fp_dest = itertools.cycle(_FP_DESTS).__next__
+
+        # Recent destination registers per class, for dependence
+        # sampling: a source reads the register written ~geometric(
+        # dep_distance) writes ago, or the oldest one remembered.  An
+        # empty ring leaves the source absent and draws nothing.
+        int_writers = deque(maxlen=20)   # data-pool writers
+        alu_writers = deque(maxlen=8)    # address-pool writers
+        fp_writers = deque(maxlen=24)    # all FP writers (incl. loads)
         # FP compute results chain mostly through each other: numeric
         # kernels are recurrences over computed values, with loads feeding
         # the chain only here and there.  Without this, every FP chain is
         # a couple of ops deep (cut by a 3-cycle load) and FP benchmarks
         # become fetch-bound at unrealistic IPCs.
-        fp_compute_writers = _WriterRing(size=12)
+        fp_compute_writers = deque(maxlen=12)
         # Independent pointer-chase chains: each chain serializes through
         # its own register, and chains interleave round-robin — bounding
         # chasing code's MLP at profile.chase_chains, like real programs
@@ -232,100 +210,111 @@ class TraceGenerator:
         chase_regs = [NO_REG] * max(1, p.chase_chains)
         chase_cursor = 0
 
-        int_dest_cursor = 0
-        addr_dest_cursor = 0
-        fp_dest_cursor = 0
         block = cfg.blocks[0]
-        slot = 0
-        index = 0
-        while index < n:
-            pc_col[index] = block.slot_pc(slot)
-            if slot == block.length - 1:
+        pc = block.start_pc
+        branch_pc = block.branch_pc
+        for index in range(n):
+            pcs[index] = pc
+            if pc == branch_pc:
                 # Terminating branch: direction from the block bias walk.
-                taken, next_block = cfg.walk(rng, block)
-                op_col[index] = int(OpClass.BRANCH)
-                src1_col[index] = int_writers.sample(rng, p.dep_distance)
-                taken_col[index] = taken
-                block = next_block
-                slot = 0
-                index += 1
+                takens[index], block = walk(rng, block)
+                ops[index] = _BRANCH
+                if int_writers:
+                    d = geometric(dep_p)
+                    src1s[index] = (int_writers[-d] if d <= len(int_writers)
+                                    else int_writers[0])
+                pc = block.start_pc
+                branch_pc = block.branch_pc
                 continue
+            pc += INSTRUCTION_BYTES
 
-            op = self._draw_op(thresholds)
-            op_col[index] = int(op)
-            if op in (OpClass.LOAD, OpClass.FLOAD):
-                stream = mixer.pick()
-                use_chase = stream.dependent and op is OpClass.LOAD
-                if use_chase and chase_regs[chase_cursor] != NO_REG:
-                    src1_col[index] = chase_regs[chase_cursor]
+            # Straight-line op class, drawn per dynamic visit (not
+            # statically per code slot) so the dynamic mix converges to
+            # the profile regardless of which blocks happen to be hot.
+            draw = random()
+            if draw < load_t:
+                fp_load = is_fp and random() < _FP_MEM_SHARE
+                stream = pick()
+                chase = stream.dependent and not fp_load
+                if chase and chase_regs[chase_cursor] != NO_REG:
+                    src1s[index] = chase_regs[chase_cursor]
+                elif alu_writers:
+                    d = geometric(dep_p)
+                    src1s[index] = (alu_writers[-d] if d <= len(alu_writers)
+                                    else alu_writers[0])
+                addrs[index] = stream.next_address()
+                if fp_load:
+                    ops[index] = _FLOAD
+                    dest = next_fp_dest()
+                    fp_writers.append(dest)
                 else:
-                    src1_col[index] = alu_writers.sample(rng, p.dep_distance)
-                addr_col[index] = stream.next_address()
-                if op is OpClass.LOAD:
-                    dest = _DATA_DESTS[int_dest_cursor]
-                    int_dest_cursor = (int_dest_cursor + 1) % len(_DATA_DESTS)
-                    dest_col[index] = dest
-                    int_writers.push(dest)
-                    if use_chase:
+                    ops[index] = _LOAD
+                    dest = next_data_dest()
+                    int_writers.append(dest)
+                    if chase:
                         chase_regs[chase_cursor] = dest
                         chase_cursor = (chase_cursor + 1) % len(chase_regs)
-                else:
-                    dest = _FP_DESTS[fp_dest_cursor]
-                    fp_dest_cursor = (fp_dest_cursor + 1) % len(_FP_DESTS)
-                    dest_col[index] = dest
-                    fp_writers.push(dest)
-            elif op in (OpClass.STORE, OpClass.FSTORE):
-                stream = mixer.pick()
-                src1_col[index] = alu_writers.sample(rng, p.dep_distance)
-                if op is OpClass.STORE:
-                    src2_col[index] = int_writers.sample(rng, p.dep_distance)
-                else:
-                    src2_col[index] = fp_writers.sample(rng, p.dep_distance)
-                addr_col[index] = stream.next_address()
-            elif op in (OpClass.FADD, OpClass.FMUL, OpClass.FDIV):
-                if len(fp_compute_writers) and rng.random() < 0.75:
-                    src1_col[index] = fp_compute_writers.sample(
-                        rng, p.dep_distance)
-                else:
-                    src1_col[index] = fp_writers.sample(rng, p.dep_distance)
-                if rng.random() < 0.6:
-                    src2_col[index] = fp_writers.sample(rng, p.dep_distance)
-                dest = _FP_DESTS[fp_dest_cursor]
-                fp_dest_cursor = (fp_dest_cursor + 1) % len(_FP_DESTS)
-                dest_col[index] = dest
-                fp_writers.push(dest)
-                fp_compute_writers.push(dest)
-            elif op is OpClass.SYNC:
-                src1_col[index] = int_writers.sample(rng, p.dep_distance)
-            else:  # IALU / IMUL / NOP
-                if rng.random() < _ADDR_ALU_SHARE:
+                dests[index] = dest
+            elif draw < store_t:
+                fp_store = is_fp and random() < _FP_MEM_SHARE
+                ops[index] = _FSTORE if fp_store else _STORE
+                stream = pick()
+                if alu_writers:
+                    d = geometric(dep_p)
+                    src1s[index] = (alu_writers[-d] if d <= len(alu_writers)
+                                    else alu_writers[0])
+                ring = fp_writers if fp_store else int_writers
+                if ring:
+                    d = geometric(dep_p)
+                    src2s[index] = ring[-d] if d <= len(ring) else ring[0]
+                addrs[index] = stream.next_address()
+            elif draw < fp_t:
+                fp_draw = random()
+                ops[index] = (_FDIV if fp_draw < fdiv_fraction
+                              else _FMUL if fp_draw < 0.5 else _FADD)
+                ring = (fp_compute_writers
+                        if fp_compute_writers and random() < 0.75
+                        else fp_writers)
+                if ring:
+                    d = geometric(dep_p)
+                    src1s[index] = ring[-d] if d <= len(ring) else ring[0]
+                if random() < 0.6 and fp_writers:
+                    d = geometric(dep_p)
+                    src2s[index] = (fp_writers[-d] if d <= len(fp_writers)
+                                    else fp_writers[0])
+                dest = next_fp_dest()
+                dests[index] = dest
+                fp_writers.append(dest)
+                fp_compute_writers.append(dest)
+            elif imul_t <= draw < sync_t:
+                ops[index] = _SYNC
+                if int_writers:
+                    d = geometric(dep_p)
+                    src1s[index] = (int_writers[-d] if d <= len(int_writers)
+                                    else int_writers[0])
+            else:
+                ops[index] = _IMUL if draw < imul_t else _IALU
+                if random() < _ADDR_ALU_SHARE:
                     # Address arithmetic: sources and destination stay in
                     # the load-free address pool.
-                    src1_col[index] = alu_writers.sample(rng, p.dep_distance)
-                    if rng.random() < 0.5:
-                        src2_col[index] = alu_writers.sample(rng,
-                                                             p.dep_distance)
-                    dest = _ADDR_DESTS[addr_dest_cursor]
-                    addr_dest_cursor = (addr_dest_cursor + 1) % len(_ADDR_DESTS)
-                    dest_col[index] = dest
-                    alu_writers.push(dest)
+                    ring = alu_writers
+                    dest = next_addr_dest()
                 else:
                     # Data processing: may consume load results.
-                    src1_col[index] = int_writers.sample(rng, p.dep_distance)
-                    if rng.random() < 0.5:
-                        src2_col[index] = int_writers.sample(rng,
-                                                             p.dep_distance)
-                    dest = _DATA_DESTS[int_dest_cursor]
-                    int_dest_cursor = (int_dest_cursor + 1) % len(_DATA_DESTS)
-                    dest_col[index] = dest
-                    int_writers.push(dest)
-            slot += 1
-            index += 1
+                    ring = int_writers
+                    dest = next_data_dest()
+                if ring:
+                    d = geometric(dep_p)
+                    src1s[index] = ring[-d] if d <= len(ring) else ring[0]
+                if random() < 0.5 and ring:
+                    d = geometric(dep_p)
+                    src2s[index] = ring[-d] if d <= len(ring) else ring[0]
+                dests[index] = dest
+                ring.append(dest)
 
         trace = Trace(p.name, {
-            "op": op_col, "dest": dest_col, "src1": src1_col,
-            "src2": src2_col, "addr": addr_col, "taken": taken_col,
-            "pc": pc_col,
+            "op": ops, "dest": dests, "src1": src1s, "src2": src2s,
+            "addr": addrs, "taken": takens, "pc": pcs,
         }, data_region_bytes=p.working_set_bytes)
         return trace.validate()
 

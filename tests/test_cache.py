@@ -270,7 +270,7 @@ class TestHierarchy:
 
     def test_warm_data_installs_silently(self):
         mem = self._mem()
-        mem.warm_data(0x6000)
+        mem.warm_data([0x6000])
         assert mem.dcache.accesses == 0
         result = mem.data_access(0x6000, False, 0, 0)
         assert not result.l2_miss
@@ -279,7 +279,7 @@ class TestHierarchy:
     def test_peek_levels(self):
         mem = self._mem()
         assert mem.peek_data(0x7000) == "memory"
-        mem.warm_data(0x7000)
+        mem.warm_data([0x7000])
         assert mem.peek_data(0x7000) == "l1"
         stats_before = mem.total_stats().loads
         assert mem.total_stats().loads == stats_before

@@ -74,6 +74,19 @@ class TestSMTConfigValidation:
         with pytest.raises(ConfigError):
             config.validate()
 
+    @pytest.mark.parametrize("field", [
+        "hill_epoch_cycles", "dcra_sample_interval",
+        "mlp_predictor_entries", "btb_entries",
+    ])
+    def test_rejects_zero_knob(self, field):
+        # Each of these used to pass validate() and then fail mid-run
+        # (a division by zero in its policy, or the BTB constructor).
+        # Configs read back from a manifest reach validate() through
+        # from_dict, so check that path.
+        data = dict(SMTConfig().to_dict(), **{field: 0})
+        with pytest.raises(ConfigError, match=field):
+            SMTConfig.from_dict(data).validate()
+
     def test_rejects_mismatched_line_sizes(self):
         config = dataclasses.replace(
             SMTConfig(), icache=CacheConfig(64 * 1024, 4, 32, 1))

@@ -9,6 +9,7 @@ Acceptance properties (ISSUE 1):
 * a config change busts the cache key.
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -29,7 +30,7 @@ from repro.sim.engine import (
     set_engine,
     simulate_cell,
 )
-from repro.sim.runner import RunSpec
+from repro.sim.runner import FULL_ENV_VAR, RunSpec
 from repro.sim.store import DiskStore, MemoryStore, cache_key
 from repro.sim.sweep import sweep_policies
 from repro.trace.workloads import Workload
@@ -95,6 +96,51 @@ class TestCacheKey:
         config, spec = baseline(), TINY
         assert (cache_key(WORKLOAD, "icount", config, spec, salt="a")
                 != cache_key(WORKLOAD, "icount", config, spec, salt="b"))
+
+
+#: Cell keys as recorded before the ``to_dict`` encoders stopped going
+#: through ``dataclasses.asdict``.  A drift here orphans every DiskStore
+#: entry and render-cache document, so the values are pinned, not just
+#: compared with each other.
+PINNED_KEYS = {
+    "mem2-rat":
+        "eb4830d530ee6a735e0388f0a51cfd15d996773ead052c1e2be39749fe32a2a0",
+    "mem4-icount":
+        "ab0ef16d01b43d8cd2df4b0f7f340d9b63f25a52cdbdf1a9b53493aab4b92733",
+    "mem2-rat-regs128":
+        "fc94ddcda29341d0bb58b7085dd82f3f5bfe4ce61a17d1daba7cfba46161be0b",
+    "reference-mcf":
+        "18676c766038c3486a50742525ac6e9575cfc2b495183a132181fb9f7db60263",
+}
+
+
+def _pinned_cell(name: str) -> SweepCell:
+    mem2 = Workload("MEM2", ("art", "mcf"))
+    if name == "mem2-rat":
+        return SweepCell.make(mem2, "rat")
+    if name == "mem4-icount":
+        return SweepCell.make(
+            Workload("MEM4", ("applu", "art", "mcf", "twolf")), "icount")
+    if name == "mem2-rat-regs128":
+        return SweepCell.make(mem2, "rat", baseline().with_registers(128))
+    return reference_cell("mcf")
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+def test_cell_key_pinned(name, monkeypatch):
+    monkeypatch.delenv(FULL_ENV_VAR, raising=False)
+    cell = _pinned_cell(name)
+    assert cell.key() == PINNED_KEYS[name]
+    # The memoized key is the freshly derived one.
+    assert cell.key() == cache_key(cell.workload, cell.policy, cell.config,
+                                   cell.spec)
+
+
+def test_to_dict_matches_asdict():
+    config = baseline().with_registers(128).with_policy("rat")
+    assert config.to_dict() == dataclasses.asdict(config)
+    assert config.l2.to_dict() == dataclasses.asdict(config.l2)
+    assert TINY.to_dict() == dataclasses.asdict(TINY)
 
 
 class TestSerialization:

@@ -81,7 +81,7 @@ class TestMemoryBehaviour:
         trace = TraceBuilder().load(2, 0x4000).build()
         cpu = make_processor([trace])
         cpu.pipeline.mem.warm_data(
-            cpu.pipeline.threads[0].physical_addr(0x4000, 0))
+            [cpu.pipeline.threads[0].physical_addr(0x4000, 0)])
         result = cpu.run()
         assert result.cycles < 30
 

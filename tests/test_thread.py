@@ -2,11 +2,7 @@
 
 from repro.core.regfile import PhysRegFile
 from repro.core.rename import RenameState
-from repro.core.thread import (
-    PASS_STRIDE_BYTES,
-    ThreadContext,
-    ThreadMode,
-)
+from repro.core.thread import PASS_STRIDE_BYTES, ThreadContext
 
 from repro.testing import TraceBuilder
 
@@ -43,11 +39,6 @@ class TestFetchCursor:
         thread.rewind_to(1, 0)
         inst = thread.next_inst(0)
         assert inst.trace_index == 1 and inst.pass_no == 0
-
-    def test_runahead_flag_propagates(self):
-        thread = _thread()
-        thread.mode = ThreadMode.RUNAHEAD
-        assert thread.next_inst(0).runahead
 
     def test_memory_instruction_gets_physical_address(self):
         thread = _thread()
@@ -164,8 +155,8 @@ class TestNextInstMatchesPipelineInline:
             want = ref_thread.next_inst(got.gseq)
             for field in ("tid", "seq", "gseq", "trace_index", "pass_no",
                           "op", "pc", "addr", "dest_arch", "src1_arch",
-                          "src2_arch", "taken", "runahead", "is_load",
-                          "is_store", "is_mem", "is_branch", "is_fp"):
+                          "src2_arch", "taken", "is_load", "is_store",
+                          "is_mem", "is_branch"):
                 assert getattr(got, field) == getattr(want, field), (
                     f"inlined fetch loop diverged from next_inst on "
                     f"{field} at seq {got.seq}")
