@@ -24,7 +24,6 @@ from . import effects as _effects              # noqa: F401
 from . import fingerprint as _fingerprint      # noqa: F401
 from . import hooks as _hooks                  # noqa: F401
 from . import hotpath as _hotpath              # noqa: F401
-from . import tiersync as _tiersync            # noqa: F401
 
 
 def default_root() -> str:
@@ -73,5 +72,5 @@ def run_lint(root: Optional[str] = None,
         suppressed=suppressed,
         repinned=ctx.repinned,
         rule_stats=rule_stats,
-        fragment_coverage=getattr(ctx, "fragment_coverage", None),
+        kernel_classes=getattr(ctx, "kernel_classes", None),
     )

@@ -26,10 +26,31 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Sequence, Tuple
 
+from ..core.kernel_gen import DerivationError, KernelKey, kernel_source
 from .astutil import dotted, iter_functions
 from .model import Finding, LintContext
 from .registry import Rule, rule
-from .tiersync import KERNEL_GEN, KernelGenError, generated_kernels
+
+KERNEL_GEN = "core/kernel_gen.py"
+
+#: The derived-kernel coverage classes: the key facts that gate whole
+#: regions of derived code (runahead on/off, hook presence, skipping,
+#: power-of-two vs modulo thread rotation, the single-thread shape).
+_FULL = KernelKey(num_threads=4, width=8, fetch_threads=2, fetch_buffer=16,
+                  icache_latency=3, dcache_latency=2, l2_detect_latency=9,
+                  rob_capacity=96, iq_caps=(48, 40, 24), fu_caps=(6, 5, 4),
+                  uses_runahead=True, ra_fp_inval=True, has_on_cycle=True,
+                  skip_enabled=True)
+COVERAGE_CLASSES: Tuple[Tuple[str, KernelKey], ...] = (
+    ("full", _FULL),
+    ("no-fp-inval-3t", _FULL._replace(num_threads=3, ra_fp_inval=False,
+                                      has_on_cycle=False)),
+    ("no-runahead", _FULL._replace(num_threads=2, uses_runahead=False,
+                                   ra_fp_inval=False)),
+    ("minimal", _FULL._replace(num_threads=1, uses_runahead=False,
+                               ra_fp_inval=False, has_on_cycle=False,
+                               skip_enabled=False)),
+)
 
 #: The guarded fast paths: (module relpath, dotted qualname).  These are
 #: the PR 3/4 per-instruction/per-cycle workhorses — the functions the
@@ -56,8 +77,8 @@ HOT_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     # The per-instruction trace walk every cell's set-up pays.
     ("trace/generator.py", "TraceGenerator.generate"),
     # The kernel-tier entry points: the portable FAME loop and the
-    # emitters whose *output* is the specialized per-cycle body (keeping
-    # the generators clean keeps the generated loops clean).
+    # kernel resolution path (the derived loops themselves are checked
+    # per coverage class, see generated_kernels).
     ("sim/kernels.py", "python_run_loop"),
     ("sim/kernels.py", "resolve_run_loop"),
     ("core/kernel_cache.py", "specialized_run_loop"),
@@ -115,6 +136,17 @@ class _LoopChains(ast.NodeVisitor):
     visit_Lambda = _enter_closure
     visit_FunctionDef = _enter_closure
     visit_AsyncFunctionDef = _enter_closure
+
+
+def generated_kernels(ctx: LintContext):
+    """One ``(label, key, source)`` per coverage class, derived from the
+    linted tree's sources (memoized on the context)."""
+    cached = getattr(ctx, "_derived_kernels", None)
+    if cached is None:
+        cached = ctx._derived_kernels = [
+            (label, key, kernel_source(key, ctx.root))
+            for label, key in COVERAGE_CLASSES]
+    return cached
 
 
 def check_function(rule_name: str, relpath: str, qualname: str,
@@ -218,17 +250,19 @@ class HotPathRule(Rule):
         return findings
 
     def _check_kernels(self, ctx: LintContext) -> List[Finding]:
-        """The generated kernels are hot paths too — feed each coverage
-        class's emitted source through the same three checks, so an
-        emitter edit that would generate a sloppy loop fails here even
-        though the sloppy code never exists as a file."""
+        """The derived kernels are hot paths too — feed each coverage
+        class's source through the same three checks, so a declared op
+        that would derive a sloppy loop fails here even though the
+        sloppy code never exists as a file.  A derivation error (a
+        source edit that broke a declared op) is a finding too."""
         if ctx.file(KERNEL_GEN) is None:
             return []
         try:
             kernels = generated_kernels(ctx)
-        except KernelGenError as exc:
+        except DerivationError as exc:
             return [Finding(rule=self.name, path=KERNEL_GEN, line=1,
                             message=str(exc))]
+        ctx.kernel_classes = [label for label, _key, _source in kernels]
         findings: List[Finding] = []
         for label, _key, source in kernels:
             tree = ast.parse(source)

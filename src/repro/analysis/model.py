@@ -154,9 +154,9 @@ class LintReport:
     #: Per-rule execution stats from the engine:
     #: ``{rule: {"findings": int, "seconds": float}}``.
     rule_stats: Optional[Dict[str, Dict]] = None
-    #: Tier-sync fragment coverage (set when the tier-sync rule ran):
-    #: ``{"fragments": int, "functions": [...], "lines_covered": int}``.
-    fragment_coverage: Optional[Dict] = None
+    #: Derived-kernel coverage classes hot-path-hygiene checked (set
+    #: when that rule ran over a tree with a kernel generator).
+    kernel_classes: Optional[List[str]] = None
 
     @property
     def errors(self) -> int:
@@ -191,8 +191,8 @@ class LintReport:
                 name: {"findings": stats["findings"],
                        "seconds": round(stats["seconds"], 6)}
                 for name, stats in sorted(self.rule_stats.items())}
-        if self.fragment_coverage is not None:
-            summary["fragment_coverage"] = self.fragment_coverage
+        if self.kernel_classes is not None:
+            summary["kernel_classes"] = list(self.kernel_classes)
         return summary
 
     def render_text(self) -> str:

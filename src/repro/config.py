@@ -43,11 +43,12 @@ def kernel_mode() -> str:
 
     * ``python`` — the portable pure-Python run loop (the fallback tier
       every other tier must match bit for bit).
-    * ``auto`` (default) — the source-generating specializer
-      (:mod:`repro.core.kernel_gen`): a run loop compiled per (config
-      shape x policy class) with the machine constants folded in.  A
-      policy/config the generator does not cover falls back to the
-      python tier — selection is a request, never an error.
+    * ``auto`` (default) — the derived kernel
+      (:mod:`repro.core.kernel_gen`): a run loop derived from the python
+      tier's source and compiled per machine shape, with the machine
+      constants folded in.  A policy/config the derivation does not
+      cover falls back to the python tier — selection is a request,
+      never an error.
 
     Deliberately an environment knob rather than an :class:`SMTConfig`
     field: the frozen config's ``to_dict`` is the canonical cache-key

@@ -547,28 +547,22 @@ class SMTPipeline:
                 inst.src_inv_mask |= 1
             if inst.psrc2 == preg:
                 inst.src_inv_mask |= 2
-        inst.pending_srcs -= 1
-        if inst.pending_srcs > 0:
+        pending = inst.pending_srcs - 1
+        inst.pending_srcs = pending
+        if pending > 0:
             return
-        if self._operands_invalid(inst):
+        # Fold test: does any operand needed for execution carry INV?
+        # Validity was latched into src_inv_mask when each operand became
+        # known (dispatch for already-ready sources, wakeup for the rest).
+        # Stores fold only on an invalid *address* (src1); invalid store
+        # data merely marks the forwarded value invalid (§3.3, runahead
+        # cache discussion).
+        mask = inst.src_inv_mask
+        if (mask & 1) if inst.is_store else mask:
             self._fold_worklist.append(inst)
         else:
             inst.state = _READY
             self.queues[OP_QUEUE_BY_CODE[inst.op]]._ready.append(inst)
-
-    def _operands_invalid(self, inst: DynInst) -> bool:
-        """Fold test: does any operand needed for execution carry INV?
-
-        Validity was latched into ``src_inv_mask`` when each operand became
-        known (dispatch for already-ready sources, wakeup for the rest).
-        Stores fold only on an invalid *address* (src1); invalid store data
-        merely marks the forwarded value invalid (§3.3, runahead cache
-        discussion).
-        """
-        mask = inst.src_inv_mask
-        if inst.is_store:
-            return bool(mask & 1)
-        return mask != 0
 
     def _fold(self, inst: DynInst, now: int) -> None:
         """Squash-free cancellation: complete instantly with an INV result."""
@@ -628,6 +622,7 @@ class SMTPipeline:
         # per-instruction helpers inlined (the per-inst hot path).
         if thread.mode is _NORMAL:
             last_index = thread.last_index
+            rename = thread.rename
             gstats = self.gstats
             while budget > 0 and window:
                 head = window[0]
@@ -648,8 +643,8 @@ class SMTPipeline:
                         else:
                             klass = 1
                             arch_index = dest_arch - _NINT
-                        old = thread.rename.commit_dest(
-                            klass, arch_index, head.pdest)
+                        old = rename.commit_dest(klass, arch_index,
+                                                 head.pdest)
                         if old != head.pdest:
                             self._release_preg(thread, klass, old)
                     if head.is_store:
@@ -856,8 +851,9 @@ class SMTPipeline:
         """Stores compute their address at issue; memory is written at
         commit (write buffer).  Runahead stores never write memory but do
         prefetch their line and feed the runahead cache (§3.3)."""
-        inst.complete_cycle = now + 1
-        self.schedule(inst.complete_cycle, _EV_COMPLETE, inst)
+        cycle = now + 1
+        inst.complete_cycle = cycle
+        self.schedule(cycle, _EV_COMPLETE, inst)
         if thread.mode is _RUNAHEAD:
             data_valid = not (inst.src_inv_mask & 2)
             self.runahead.on_runahead_store(thread, inst, data_valid)
@@ -898,24 +894,22 @@ class SMTPipeline:
                              now: int) -> None:
         """Runahead loads: cache hits complete normally; L2 misses become
         prefetches and produce INV at L2-lookup time (§3.2)."""
-        l1_latency = self._dcache_latency
-        detect_latency = self._l2_detect_latency
         forwarded = self.runahead.load_forward_validity(thread, inst)
         if forwarded is not None:
             inst.invalid = not forwarded
-            inst.complete_cycle = now + l1_latency
+            inst.complete_cycle = now + self._dcache_latency
             self.schedule(inst.complete_cycle, _EV_COMPLETE, inst)
             return
         if not self.runahead.prefetch:
             # Figure 4 ablation: no L2/memory traffic from runahead.
             level = self.mem.peek_data(inst.addr)
             if level == "l1":
-                inst.complete_cycle = now + l1_latency
+                inst.complete_cycle = now + self._dcache_latency
             elif level == "l2":
-                inst.complete_cycle = now + detect_latency
+                inst.complete_cycle = now + self._l2_detect_latency
             else:
                 inst.invalid = True
-                inst.complete_cycle = now + detect_latency
+                inst.complete_cycle = now + self._l2_detect_latency
                 thread.no_retrigger.add(
                     inst.pass_no * thread.retrigger_stride
                     + inst.trace_index)
@@ -926,16 +920,16 @@ class SMTPipeline:
         if packed < 0:
             # Prefetch dropped (MSHRs full): bogus value, no retry.
             inst.invalid = True
-            inst.complete_cycle = now + l1_latency
+            cycle = now + self._dcache_latency
         elif packed & 2:
             # Long-latency: invalidate the dest, keep the fill as prefetch.
             inst.invalid = True
-            inst.complete_cycle = min(packed >> 2, now + detect_latency)
+            cycle = min(packed >> 2, now + self._l2_detect_latency)
             if self.runahead.stop_fetch_on_l2_miss:
                 thread.gate_fetch_until(thread.runahead_trigger_ready)
         else:
-            inst.complete_cycle = packed >> 2
-        cycle = inst.complete_cycle
+            cycle = packed >> 2
+        inst.complete_cycle = cycle
         events = self._events                # inlined schedule()
         bucket = events.get(cycle)
         if bucket is None:
@@ -1029,24 +1023,25 @@ class SMTPipeline:
         if rob._occupancy >= rob.capacity:   # inlined is_full
             return False
         op = inst.op
+        tid = thread.tid
+        stats = thread.stats
 
-        drop_at_decode = thread.mode is _RUNAHEAD and (
-            (self._ra_fp_inval and IS_FP_BY_CODE[op])
-            or op == _SYNC_CODE)
-        if drop_at_decode:
+        if thread.mode is _RUNAHEAD and (
+                (self._ra_fp_inval and IS_FP_BY_CODE[op])
+                or op == _SYNC_CODE):
             # §3.3: FP compute and synchronization ops in runahead use no
             # resources past decode — straight to pseudo-commit, INV.
-            rob._queues[inst.tid].append(inst)   # inlined append
+            rob._queues[tid].append(inst)   # inlined append
             rob._occupancy += 1
-            rob.per_thread[inst.tid] += 1
+            rob.per_thread[tid] += 1
             inst.state = _COMPLETED
             inst.invalid = True
             inst.complete_cycle = now
             self._uncount(inst)
             if IS_FP_BY_CODE[op] and inst.dest_arch != NO_REG:
                 thread.note_arch_invalid(inst.dest_arch, True)
-            thread.stats.dispatched += 1
-            thread.stats.folded += 1
+            stats.dispatched += 1
+            stats.folded += 1
             return True
 
         queue = self.queues[OP_QUEUE_BY_CODE[op]]
@@ -1059,17 +1054,19 @@ class SMTPipeline:
             if not dest_file._free:   # free_count == 0, sans property call
                 return False
 
-        rob._queues[inst.tid].append(inst)   # inlined append, checked above
+        rob._queues[tid].append(inst)   # inlined append, checked above
         rob._occupancy += 1
-        rob.per_thread[inst.tid] += 1
+        rob.per_thread[tid] += 1
         inst.state = _DISPATCHED
-        thread.stats.dispatched += 1
+        stats.dispatched += 1
 
         # Source renaming, inlined twice (this is the per-instruction
-        # dispatch hot path; see _rename_source for the readable form).
+        # dispatch hot path).  An operand whose producer's register was
+        # reclaimed early (INV recycling or FP decode drop) is INV at
+        # architectural level: nothing to wait for, no register to read.
         pending = 0
         arch_inv = thread.arch_inv
-        front = thread.rename.front
+        int_front, fp_front = thread.rename.front
         arch = inst.src1_arch
         if arch != NO_REG:
             if arch_inv[arch]:
@@ -1077,10 +1074,10 @@ class SMTPipeline:
             else:
                 if arch < _NINT:
                     file = self.int_file
-                    preg = front[0][arch]
+                    preg = int_front[arch]
                 else:
                     file = self.fp_file
-                    preg = front[1][arch - _NINT]
+                    preg = fp_front[arch - _NINT]
                 inst.psrc1 = preg
                 if file.ready[preg] <= now:
                     if file.inv[preg]:
@@ -1095,10 +1092,10 @@ class SMTPipeline:
             else:
                 if arch < _NINT:
                     file = self.int_file
-                    preg = front[0][arch]
+                    preg = int_front[arch]
                 else:
                     file = self.fp_file
-                    preg = front[1][arch - _NINT]
+                    preg = fp_front[arch - _NINT]
                 inst.psrc2 = preg
                 if file.ready[preg] <= now:
                     if file.inv[preg]:
@@ -1122,57 +1119,29 @@ class SMTPipeline:
             if dest_arch < _NINT:
                 klass = 0
                 arch_index = dest_arch
+                fmap = int_front
             else:
                 klass = 1
                 arch_index = dest_arch - _NINT
+                fmap = fp_front
             inst.pdest = preg
-            fmap = front[klass]                  # inlined rename_dest
-            inst.old_pdest = fmap[arch_index]
+            inst.old_pdest = fmap[arch_index]    # inlined rename_dest
             fmap[arch_index] = preg
             thread.regs_held[klass] += 1
             # A renamed write supersedes any early-reclaimed INV producer.
             arch_inv[dest_arch] = False
 
         queue.size += 1                      # inlined insert, checked above
-        queue.per_thread[inst.tid] += 1
+        queue.per_thread[tid] += 1
         inst.in_iq = True
         if pending == 0:
-            mask = inst.src_inv_mask         # inlined _operands_invalid
+            mask = inst.src_inv_mask         # the _src_ready fold test
             if (mask & 1) if inst.is_store else mask:
                 self._fold(inst, now)
             else:
                 inst.state = _READY
                 queue._ready.append(inst)    # inlined mark_ready
         return True
-
-    def _rename_source(self, thread: ThreadContext, inst: DynInst,
-                       which: int, now: int) -> int:
-        """Rename one source; returns 1 if the operand is outstanding."""
-        arch = inst.src1_arch if which == 1 else inst.src2_arch
-        if arch == NO_REG:
-            return 0
-        if thread.arch_inv[arch]:
-            # The producer's register was reclaimed early (INV recycling or
-            # FP decode drop): the value is INV at architectural level;
-            # nothing to wait for, no register to read.
-            inst.src_inv_mask |= which
-            return 0
-        if arch < _NINT:
-            file = self.int_file
-            preg = thread.rename.front[0][arch]
-        else:
-            file = self.fp_file
-            preg = thread.rename.front[1][arch - _NINT]
-        if which == 1:
-            inst.psrc1 = preg
-        else:
-            inst.psrc2 = preg
-        if file.ready[preg] <= now:
-            if file.inv[preg]:
-                inst.src_inv_mask |= which
-            return 0
-        file.waiters[preg].append(inst)
-        return 1
 
     # --------------------------------------------------------------- fetch
 

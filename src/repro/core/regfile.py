@@ -17,7 +17,7 @@ never both — is cheap to check and exercised heavily by the test suite.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..errors import SimulationError
 from .dyninst import DynInst
@@ -134,7 +134,3 @@ class PhysRegFile:
             if self._allocated[preg]:
                 raise SimulationError(
                     f"{self.name}: p{preg} both free and allocated")
-
-    def snapshot_occupancy(self) -> Optional[int]:
-        """Currently allocated register count (for Figure 5 sampling)."""
-        return self.allocated_count

@@ -103,6 +103,3 @@ class GlobalStats:
     # the benchmark harness still reads it for its core.macro_* metrics.
     # The field is removed together with those metrics.
     macro_insts: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)

@@ -119,9 +119,6 @@ class ThreadContext:
     def in_runahead(self) -> bool:
         return self.mode == ThreadMode.RUNAHEAD
 
-    def trace_exhausted(self) -> bool:
-        return self.cursor >= len(self.trace)
-
     def next_inst(self, gseq: int) -> DynInst:
         """Materialize the next trace instruction at the fetch cursor."""
         index = self.cursor

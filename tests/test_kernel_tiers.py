@@ -19,7 +19,8 @@ import pytest
 from repro.config import KERNEL_ENV_VAR, baseline, kernel_mode
 from repro.core.kernel_cache import (cache_info, clear_cache,
                                      specialized_run_loop)
-from repro.core.kernel_gen import MAX_THREADS, specialization_key
+from repro.core.kernel_gen import (MAX_THREADS, kernel_source,
+                                   specialization_key)
 from repro.core.processor import SMTProcessor
 from repro.errors import ConfigError
 from repro.policies.icount import ICountPolicy
@@ -188,9 +189,11 @@ def test_kernels_memoized_per_shape():
 
 
 def test_kernel_source_attached():
+    """A compiled kernel carries its key; the key reproduces its source."""
     loop = specialized_run_loop(_processor().pipeline)
-    assert "def _kernel_run(" in loop.__kernel_source__
-    compile(loop.__kernel_source__, "<kernel-gen>", "exec")  # re-parses
+    source = kernel_source(loop.__kernel_key__)
+    assert "def _kernel_run(" in source
+    compile(source, "<kernel-gen>", "exec")  # re-parses
 
 
 # --- knob propagation into workers ------------------------------------------

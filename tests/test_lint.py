@@ -507,8 +507,9 @@ def test_cli_json_document_shape(capsys):
     for stats in summary["rules"].values():
         assert isinstance(stats["findings"], int)
         assert isinstance(stats["seconds"], float)
-    # Fragment coverage rides along whenever tier-sync ran.
-    assert summary["fragment_coverage"]["fragments"] >= 6
+    # The derived-kernel classes ride along whenever hot-path-hygiene ran.
+    assert summary["kernel_classes"] == ["full", "no-fp-inval-3t",
+                                         "no-runahead", "minimal"]
     assert document["rules"] == list(rule_names())
     assert document["findings"] == []
 

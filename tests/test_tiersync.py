@@ -1,12 +1,12 @@
-"""Tests for the tier-sync congruence engine and the horizon-purity rule.
+"""Tests for the derived kernel tier's static gates and horizon purity.
 
-The acceptance criterion of the kernel-tier static gate: a semantic
-one-line edit to a pipeline hot path (or to its emitter) that is not
-mirrored on the other side must fail ``repro lint``, with a
-normalized-AST diff naming both the source function and the emitter.
-Seeded violations run against full copies of the real package — the
-same trees the shipped FRAGMENTS table certifies — so the fixtures
-drift together with the code they check.
+The kernel tier is derived from the python tier's source (see
+:mod:`repro.core.kernel_gen`), so there is no mirror to keep in sync:
+an edit to a pipeline hot path must show up in every derived kernel,
+and an edit that stops a declared derivation op from matching must fail
+loudly, naming the op, the stage and the ``core/pipeline.py`` line.
+Seeded edits run against full copies of the real package, and the
+derivation reads the copied tree, not the installed package.
 """
 
 from __future__ import annotations
@@ -20,28 +20,22 @@ import pytest
 
 import repro
 from repro.analysis import LintOptions, run_lint
-from repro.analysis.astutil import iter_functions
 from repro.analysis.cli import lint_main
-from repro.analysis.hotpath import check_function
+from repro.analysis.hotpath import (COVERAGE_CLASSES, check_function,
+                                    generated_kernels)
+from repro.core import pipeline as pipeline_module
+from repro.core.kernel_gen import DerivationError, kernel_source
 
 PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
-#: The hot-path functions the FRAGMENTS table must keep covered: the
-#: four pipeline stages plus the event drain.  A
-#: fragment removal that drops one of these is a gate regression, not a
-#: declaration detail.
-REQUIRED_COVERAGE = (
-    "core/pipeline.py:SMTPipeline._process_events",
-    "core/pipeline.py:SMTPipeline._commit_stage",
-    "core/pipeline.py:SMTPipeline._commit_thread",
-    "core/pipeline.py:SMTPipeline._issue_stage",
-    "core/pipeline.py:SMTPipeline._issue_load",
-    "core/pipeline.py:SMTPipeline._dispatch_stage",
-    "core/pipeline.py:SMTPipeline._dispatch",
-    "core/pipeline.py:SMTPipeline._fetch_stage",
-    "core/pipeline.py:SMTPipeline._fetch_thread",
-    "core/issue_queue.py:IssueQueue.take_ready",
+#: Helpers every derived kernel inlines: none may survive as a call.
+INLINED_HELPERS = (
+    "_commit_thread", "_dispatch", "_fetch_thread", "_issue_load",
+    "_issue_store", "_issue_runahead_load", "_src_ready",
+    "_recycle_runahead_dest", "take_ready",
 )
+
+FULL_KEY = dict(COVERAGE_CLASSES)["full"]
 
 
 @pytest.fixture()
@@ -62,100 +56,103 @@ def _edit(root, relpath, old, new):
 
 
 # ---------------------------------------------------------------------------
-# The shipped declarations are congruent and cover what they claim.
+# Derived, not transcribed.
 
-def test_shipped_fragments_pass_tier_sync():
-    report = run_lint(PACKAGE_ROOT, LintOptions(rules=["tier-sync"]))
-    assert report.findings == [], \
-        "\n".join(f.render() for f in report.findings)
-    assert report.exit_code() == 0
-
-
-def test_fragment_coverage_includes_every_stage():
-    report = run_lint(PACKAGE_ROOT, LintOptions(rules=["tier-sync"]))
-    coverage = report.fragment_coverage
-    assert coverage is not None
-    assert coverage["fragments"] >= 6
-    for required in REQUIRED_COVERAGE:
-        assert required in coverage["functions"], \
-            f"fragment coverage lost {required}"
+def test_source_edit_flows_into_derived_kernel(package_copy):
+    # One semantic line in the fetch hot loop, with no other edit: the
+    # kernel derived from the copied tree carries it.
+    old = ("            append(inst)\n"
+           "            count += 1\n")
+    _edit(package_copy, "core/pipeline.py", old,
+          old.replace("count += 1", "count += 2"))
+    before = kernel_source(FULL_KEY)
+    after = kernel_source(FULL_KEY, package_copy)
+    assert "count += 2" not in before and "count += 1" in before
+    assert "count += 2" in after and "count += 1" not in after
 
 
-def test_fragment_coverage_counts_all_claimed_lines():
-    # ``lines_covered`` must equal the full body span of every claimed
-    # function — 100% of the claimed lines, recomputed here from the
-    # real tree so the pin cannot drift silently.
-    report = run_lint(PACKAGE_ROOT, LintOptions(rules=["tier-sync"]))
-    coverage = report.fragment_coverage
-    expected = 0
-    trees = {}
-    for entry in coverage["functions"]:
-        relpath, qualname = entry.split(":", 1)
-        if relpath not in trees:
-            path = os.path.join(PACKAGE_ROOT, *relpath.split("/"))
-            with open(path, "r", encoding="utf-8") as handle:
-                trees[relpath] = ast.parse(handle.read())
-        node = dict(iter_functions(trees[relpath]))[qualname]
-        expected += (node.end_lineno or node.lineno) - node.lineno + 1
-    assert coverage["lines_covered"] == expected
-    assert expected > 500   # the hot tier is not a token sample
+def test_broken_declared_op_names_op_stage_and_line(package_copy):
+    # The commit call site no longer has the declared shape.
+    site = "        budget = self._commit_thread(thread, now, budget)\n"
+    _edit(package_copy, "core/pipeline.py", site,
+          site.replace("budget)\n", "budget) + 0\n"))
+    with pytest.raises(DerivationError) as excinfo:
+        kernel_source(FULL_KEY, package_copy)
+    message = str(excinfo.value)
+    line = _def_line(package_copy, "    def _commit_stage(")
+    assert "inline SMTPipeline._commit_thread into " \
+           "SMTPipeline._commit_stage" in message
+    assert "matched 0 sites, declared 1" in message
+    assert "stage commit" in message
+    assert f"core/pipeline.py:{line}" in message
+    # repro lint reports it through hot-path-hygiene.
+    report = run_lint(package_copy, LintOptions(rules=["hot-path-hygiene"]))
+    assert report.exit_code() == 1
+    assert any("_commit_thread" in f.message for f in report.findings)
 
+
+def test_changed_return_flow_fails_loudly(package_copy):
+    # A new early return in an inlined helper: its declared flow no
+    # longer covers every return.
+    _edit(package_copy, "core/pipeline.py",
+          "        stats = thread.stats\n"
+          "        # The mode is stable across the loop",
+          "        stats = thread.stats\n"
+          "        if budget > 1000:\n"
+          "            return budget\n"
+          "        # The mode is stable across the loop")
+    with pytest.raises(DerivationError) as excinfo:
+        kernel_source(FULL_KEY, package_copy)
+    message = str(excinfo.value)
+    assert "has 5 exits, the declared flow covers 4" in message
+    line = _def_line(package_copy, "    def _commit_thread(")
+    assert f"core/pipeline.py:{line}" in message and "stage commit" \
+        in message
+
+
+def test_no_derived_kernel_calls_an_inlined_helper():
+    for label, _key, source in generated_kernels(_real_ctx()):
+        called = {node.func.attr if isinstance(node.func, ast.Attribute)
+                  else node.func.id
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, (ast.Attribute, ast.Name))}
+        assert not called & set(INLINED_HELPERS), (label, called)
+
+
+def test_diverging_fu_table_fails_the_fold(monkeypatch):
+    # The issue stage folds OP_FU_BY_CODE[inst.op] to the queue kind,
+    # sound only while the FU and queue tables agree.
+    diverging = list(pipeline_module.OP_FU_BY_CODE)
+    diverging[0] = (diverging[0] + 1) % 3
+    monkeypatch.setattr(pipeline_module, "OP_FU_BY_CODE", tuple(diverging))
+    with pytest.raises(DerivationError) as excinfo:
+        kernel_source(FULL_KEY)
+    message = str(excinfo.value)
+    assert "OP_FU_BY_CODE" in message and "stage issue" in message
+
+
+def _def_line(root, prefix):
+    path = os.path.join(root, "core", "pipeline.py")
+    with open(path, "r", encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            if line.startswith(prefix):
+                return number
+    raise AssertionError(prefix)
+
+
+def _real_ctx():
+    from repro.analysis.model import LintContext
+    return LintContext(PACKAGE_ROOT)
+
+
+# ---------------------------------------------------------------------------
+# Horizon purity.
 
 def test_horizon_purity_clean_on_real_tree():
     report = run_lint(PACKAGE_ROOT, LintOptions(rules=["horizon-purity"]))
     assert report.findings == [], \
         "\n".join(f.render() for f in report.findings)
-
-
-# ---------------------------------------------------------------------------
-# Seeded violations: each side of the mirror, edited alone, fails.
-
-def test_source_edit_without_emitter_mirror_fails(package_copy):
-    # One semantic line in the fetch hot loop (count += 1 -> += 2),
-    # declared substitutions all still apply: the residual diff must
-    # name both the source function and the emitter, with line anchors.
-    _edit(package_copy, "core/pipeline.py",
-          "            inst.counted = True\n"
-          "            append(inst)\n"
-          "            count += 1",
-          "            inst.counted = True\n"
-          "            append(inst)\n"
-          "            count += 2")
-    report = run_lint(package_copy, LintOptions(rules=["tier-sync"]))
-    assert report.exit_code() == 1
-    assert len(report.findings) == 1
-    message = report.findings[0].message
-    assert "core/pipeline.py:" in message and "_fetch_stage" in message
-    assert "core/kernel_gen.py:" in message and "_emit_fetch" in message
-    assert "--- " in message and "+++ " in message   # unified diff shown
-    assert "count += 2" in message
-
-
-def test_emitter_edit_without_source_mirror_fails(package_copy):
-    _edit(package_copy, "core/kernel_gen.py",
-          'emit("                fetched_total += count")',
-          'emit("                fetched_total += count + 1")')
-    report = run_lint(package_copy, LintOptions(rules=["tier-sync"]))
-    assert report.exit_code() == 1
-    message = report.findings[0].message
-    assert "_fetch_stage" in message and "_emit_fetch" in message
-    assert "fetched_total" in message
-
-
-def test_undeclared_new_local_fails(package_copy):
-    # A new statement in the source with no declared substitution: the
-    # normalized forms differ by exactly the undeclared line.
-    _edit(package_copy, "core/pipeline.py",
-          "        count = 0\n"
-          "        icache_done = now + self._icache_latency",
-          "        count = 0\n"
-          "        fetched_n = 0\n"
-          "        icache_done = now + self._icache_latency")
-    report = run_lint(package_copy, LintOptions(rules=["tier-sync"]))
-    assert report.exit_code() == 1
-    message = report.findings[0].message
-    assert "residual structural difference" in message
-    assert "fetched_n" in message
 
 
 def test_side_effecting_skip_horizon_fails(package_copy):
@@ -171,7 +168,7 @@ def test_side_effecting_skip_horizon_fails(package_copy):
 
 
 # ---------------------------------------------------------------------------
-# Generated kernels ride through hot-path-hygiene.
+# Derived kernels ride through hot-path-hygiene.
 
 def test_generated_kernels_pass_hot_path_hygiene():
     report = run_lint(PACKAGE_ROOT,
@@ -213,9 +210,9 @@ def test_unknown_rule_exits_2_and_lists_rules(capsys):
     assert lint_main(["--rules", "no-such-rule"]) == 2
     err = capsys.readouterr().err
     assert "unknown lint rule 'no-such-rule'" in err
-    for name in ("tier-sync", "horizon-purity", "hot-path-hygiene",
-                 "salt-fingerprint"):
+    for name in ("horizon-purity", "hot-path-hygiene", "salt-fingerprint"):
         assert name in err
+    assert "tier-sync" not in err
 
 
 def test_accept_fingerprints_names_repinned_modules(package_copy, capsys):
@@ -236,14 +233,13 @@ def test_accept_fingerprints_names_repinned_modules(package_copy, capsys):
 
 
 def test_json_summary_reports_rule_stats_and_coverage(capsys):
-    assert lint_main(["--rules", "tier-sync,horizon-purity",
+    assert lint_main(["--rules", "hot-path-hygiene,horizon-purity",
                       "--format", "json"]) == 0
     document = json.loads(capsys.readouterr().out)
     summary = document["summary"]
-    assert set(summary["rules"]) == {"tier-sync", "horizon-purity"}
+    assert set(summary["rules"]) == {"hot-path-hygiene", "horizon-purity"}
     for stats in summary["rules"].values():
         assert stats["findings"] == 0
         assert stats["seconds"] >= 0
-    coverage = summary["fragment_coverage"]
-    assert coverage["fragments"] >= 6
-    assert coverage["lines_covered"] > 500
+    assert summary["kernel_classes"] == [label for label, _key
+                                         in COVERAGE_CLASSES]
