@@ -6,11 +6,11 @@ history (encoded ±1).  Training bumps weights toward the outcome whenever
 the prediction was wrong or under-confident (|output| <= θ), with the
 standard threshold θ = ⌊1.93·h + 14⌋.
 
-Trace-driven simplifications (documented in DESIGN.md §5): the global
-history is updated with the *actual* outcome at prediction time (so history
-never needs repair on a squash), and training is applied immediately.  Both
-are standard practice in trace simulators and slightly flatter — equally —
-every policy under test.
+Trace-driven simplifications (README, "Deviations from the paper"): the
+global history is updated with the *actual* outcome at prediction time (so
+history never needs repair on a squash), and training is applied
+immediately.  Both are standard practice in trace simulators and slightly
+flatter — equally — every policy under test.
 """
 
 from __future__ import annotations

@@ -239,6 +239,10 @@ class SMTConfig:
         self.icache.validate("icache")
         self.dcache.validate("dcache")
         self.l2.validate("l2")
+        if self.dcache.latency < 1:
+            # A zero-latency load would complete in its own issue cycle,
+            # whose events were already processed: it never completes.
+            raise ConfigError("dcache.latency must be >= 1")
         if not (self.icache.line_bytes == self.dcache.line_bytes
                 == self.l2.line_bytes):
             raise ConfigError("all cache levels must share one line size")

@@ -4,7 +4,12 @@ A :class:`DynInst` is created at fetch from one trace row and carries all
 per-instance pipeline state: renamed operands, readiness, validity (the INV
 bit of runahead execution), and lifecycle bookkeeping.  These objects are
 the hot allocation of the simulator, hence ``__slots__`` and plain
-attributes throughout.
+attributes throughout.  Membership facts that ``state`` already decides
+are not stored: an instruction holds its ICOUNT slot while ``state <=
+READY`` and its issue-queue entry while ``DISPATCHED <= state <= READY``.
+The derived kernels build each instance in place from ``__init__``'s
+source (see :mod:`repro.core.kernel_gen`), so ``__init__`` stays a flat
+list of stores with no ``return``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ class InstState(enum.IntEnum):
     SQUASHED = 6     # cancelled by misprediction, flush, or runahead exit
 
 
+#: Hoisted member: an enum attribute load costs ~10x a global load, and
+#: ``__init__`` runs once per fetched instruction.
+_FETCHED = InstState.FETCHED
+
 #: (is_load, is_store, is_mem, is_branch) per op code — a single
 #: index + unpack in the constructor instead of four table reads.
 _OP_FLAGS = tuple(
@@ -45,23 +54,22 @@ class DynInst:
     """One in-flight instruction instance."""
 
     __slots__ = (
-        "tid", "seq", "gseq", "trace_index", "pass_no",
+        "tid", "gseq", "trace_index", "pass_no",
         "op", "pc", "addr",
         "dest_arch", "src1_arch", "src2_arch",
         "pdest", "psrc1", "psrc2", "old_pdest",
         "state", "invalid", "replay",
-        "pending_srcs", "in_iq", "counted", "l2_counted",
+        "pending_srcs", "l2_counted",
         "src_inv_mask",
         "complete_cycle", "l2_miss", "mispredicted", "taken",
         "is_load", "is_store", "is_mem", "is_branch",
     )
 
-    def __init__(self, tid: int, seq: int, trace_index: int, pass_no: int,
+    def __init__(self, tid: int, gseq: int, trace_index: int, pass_no: int,
                  op: int, pc: int, addr: int, dest_arch: int,
                  src1_arch: int, src2_arch: int, taken: bool) -> None:
         self.tid = tid
-        self.seq = seq
-        self.gseq = 0  # global fetch order, assigned by the pipeline
+        self.gseq = gseq   # global fetch order: age, and per-thread order
         self.trace_index = trace_index
         self.pass_no = pass_no
         self.op = op
@@ -77,12 +85,10 @@ class DynInst:
         self.psrc2 = NO_REG
         self.old_pdest = NO_REG
 
-        self.state = InstState.FETCHED
+        self.state = _FETCHED
         self.invalid = False        # runahead INV bit of the *result*
         self.replay = False         # ready load deferred on a full MSHR file
         self.pending_srcs = 0
-        self.in_iq = False
-        self.counted = False        # contributes to ICOUNT
         self.l2_counted = False     # contributes to pending_l2_misses
         self.src_inv_mask = 0       # bit0/bit1: src1/src2 known-INV at dispatch
         self.complete_cycle = -1
@@ -98,6 +104,6 @@ class DynInst:
         return self.state < InstState.RETIRED
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<DynInst t{self.tid} #{self.seq} {OpClass(self.op).name} "
+        return (f"<DynInst t{self.tid} #{self.gseq} {OpClass(self.op).name} "
                 f"idx={self.trace_index} {InstState(self.state).name}"
                 f"{' INV' if self.invalid else ''}>")

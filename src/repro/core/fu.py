@@ -16,7 +16,7 @@ from ..isa import FUKind, OP_FU_BY_CODE
 class FUPool:
     """Per-cycle issue budgets for the three unit kinds."""
 
-    __slots__ = ("_capacity", "_available", "issued")
+    __slots__ = ("_capacity", "_available")
 
     def __init__(self, int_units: int, fp_units: int, ldst_units: int) -> None:
         if min(int_units, fp_units, ldst_units) < 1:
@@ -26,7 +26,6 @@ class FUPool:
         self._capacity[FUKind.FP] = fp_units
         self._capacity[FUKind.LDST] = ldst_units
         self._available = list(self._capacity)
-        self.issued = [0, 0, 0]
 
     def new_cycle(self) -> None:
         """Refresh budgets at the start of a cycle."""
@@ -46,7 +45,6 @@ class FUPool:
         if self._available[kind] <= 0:
             return False
         self._available[kind] -= 1
-        self.issued[kind] += 1
         return True
 
     def next_release_cycle(self, now: int) -> int:

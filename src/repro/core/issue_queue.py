@@ -7,9 +7,10 @@ and completion moves them to the queue's ready list — so per-cycle cost
 scales with completions, not queue size.
 
 Occupancy accounting is explicit (``size``): an instruction occupies its
-queue entry from dispatch until it issues, folds, or is squashed, and the
-counter is the resource the dispatch stage and the DCRA/hill-climbing
-policies arbitrate over.
+queue entry from dispatch until it issues, folds, or is squashed — exactly
+while ``DISPATCHED <= state <= READY``, so callers release the entry
+before changing the state — and the counter is the resource the dispatch
+stage and the DCRA/hill-climbing policies arbitrate over.
 
 Readiness is also a *skip horizon*: :meth:`IssueQueue.next_ready_cycle`
 tells the event-driven fast path whether the selection logic could issue
@@ -29,7 +30,8 @@ from typing import List, Optional
 from ..errors import SimulationError
 from .dyninst import DynInst, InstState
 
-#: Hoisted member: these scans run per quiescence check / issue cycle.
+#: Hoisted members: these scans run per quiescence check / issue cycle.
+_DISPATCHED = InstState.DISPATCHED
 _READY = InstState.READY
 
 #: Sentinel returned by :meth:`IssueQueue.next_ready_cycle` when every
@@ -67,16 +69,16 @@ class IssueQueue:
             raise SimulationError(f"{self.name} issue queue overflow")
         self.size += 1
         self.per_thread[inst.tid] += 1
-        inst.in_iq = True
 
     def remove(self, inst: DynInst) -> None:
-        """Release an entry (issue, fold, or squash)."""
+        """Release an entry (issue, fold, or squash), before the state
+        change: an instruction holds its entry while ``DISPATCHED <=
+        state <= READY``."""
         if inst.replay:
             inst.replay = False
             self._replay_blocked -= 1
-        if not inst.in_iq:
+        if not _DISPATCHED <= inst.state <= _READY:
             return
-        inst.in_iq = False
         self.size -= 1
         self.per_thread[inst.tid] -= 1
         if self.size < 0:

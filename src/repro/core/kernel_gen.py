@@ -5,14 +5,15 @@ loops read every cycle plus the policy facts the pipeline folds at
 construction) :func:`derive_kernel` builds a complete ``run``-equivalent
 loop from the *current source* of the python tier.  The stage methods
 of ``SMTPipeline`` and the helpers they call (``IssueQueue.take_ready``,
-the ``ThreadContext`` fetch gates) are parsed, specialized by the
-declared ops below and spliced into a small hand-written frame: the
-per-run hoists, the FAME loop with its unrolled termination test, the
-FU reset, the event-elision guard and the cycle-skip precheck.  Nothing
-in the loop body is written twice, so an edit to ``core/pipeline.py``
-flows into every kernel; an edit that stops a declared op from matching
-raises :class:`DerivationError` naming the op, the stage and the source
-line, instead of running a stale copy.
+the ``ThreadContext`` fetch gates, ``DynInst.__init__``) are parsed,
+specialized by the declared ops below and spliced into a small
+hand-written frame: the per-run hoists, the FAME loop with its unrolled
+termination test, the FU reset, the event-elision guard and the
+cycle-skip precheck (a cycle that fetched, committed or spent an FU
+budget is not idle).  Nothing in the loop body is written twice, so an
+edit to ``core/pipeline.py`` flows into every kernel; an edit that stops
+a declared op from matching raises :class:`DerivationError` naming the
+op, the stage and the source line, instead of running a stale copy.
 
 The declared ops (each preserves the python tier's semantics; together
 they remove per-cycle and per-instruction work):
@@ -38,7 +39,11 @@ they remove per-cycle and per-instruction work):
   statement), ``else-rest`` (ends an ``if`` body: the rest of the block
   moves into ``else``), ``exit`` (the handled value already jumps) or
   ``break`` (leaves the helper's loop, which its next ``return``
-  follows).
+  follows).  A declared ``Class.__init__`` builds in place: fetch's
+  ``inst = DynInst(...)`` becomes ``inst = _new(DynInst)``
+  (``object.__new__``) and the constructor's body with ``self`` bound
+  to ``inst`` — no call frame per instruction, and sound only for a
+  class with no base and no ``__new__``.
 * **loop unrolling** (:data:`_UNROLL`): the issue queues (over the
   literal kind tuple, ``continue`` lowered to guard nesting, the FU
   lookup ``OP_FU_BY_CODE[inst.op]`` folded to the queue kind, the load
@@ -148,6 +153,7 @@ _MODULES = {
     "SMTPipeline": "core/pipeline.py",
     "IssueQueue": "core/issue_queue.py",
     "ThreadContext": "core/thread.py",
+    "DynInst": "core/dyninst.py",
 }
 
 #: The frame's stages in ``step`` order: (placeholder, stage method,
@@ -201,6 +207,8 @@ _INLINE: Dict[Tuple[str, str], Tuple[str, object]] = {
         ("else-rest tail", 1),
     ("SMTPipeline._fetch_thread", "ThreadContext.block_fetch_until"):
         ("", 2),
+    # Every dynamic instruction of the simulation is built here.
+    ("SMTPipeline._fetch_thread", "DynInst.__init__"): ("", 1),
 }
 
 #: Loop unrolling: function -> loop variable.  ``queue_kind`` iterates a
@@ -248,7 +256,7 @@ _SITES = {
 #: Frame-owned names a stage may not assign.
 _FRAME_NAMES = frozenset((
     "pipeline", "min_passes", "cap", "clock", "now", "target",
-    "gseq_before", "committed_before", "executed_before"))
+    "gseq_before", "committed_before"))
 
 _BUILTINS = frozenset(dir(builtins))
 _WORD = re.compile(r"[A-Za-z_]\w*")
@@ -277,7 +285,6 @@ def _substitutions(key: KernelKey) -> Dict[str, object]:
         "rotations[0]": "rot0",
         "pipeline.rob": "rob",
         "rob._queues": "rob_queues",
-        "rob.per_thread": "rob_pt",
         "pipeline.queues": "queues",
         "queues[0]": "q0",
         "queues[1]": "q1",
@@ -286,7 +293,7 @@ def _substitutions(key: KernelKey) -> Dict[str, object]:
         "pipeline.fp_file": "fp_file",
         "pipeline.fus": "fus",
         "fus._available": "available",
-        "fus.issued": "issued",
+        "fus._capacity": "fu_capacity",
         "pipeline._events": "events",
         "pipeline._event_heap": "heap",
         "pipeline._fold_worklist": "fold_worklist",
@@ -335,10 +342,11 @@ _OUTDENT = re.compile(r"\n(?= {0,4}\S)")
 
 def _kernel_namespace() -> Dict[str, object]:
     """The globals a derived kernel reads: those of the modules its
-    source comes from (enum members compare by identity)."""
-    from . import issue_queue, pipeline, thread
-    namespace: Dict[str, object] = {}
-    for module in (thread, issue_queue, pipeline):
+    source comes from (enum members compare by identity), plus the
+    allocator of in-place construction."""
+    from . import dyninst, issue_queue, pipeline, thread
+    namespace: Dict[str, object] = {"_new": object.__new__}
+    for module in (dyninst, thread, issue_queue, pipeline):
         namespace.update(vars(module))
     return namespace
 
@@ -588,7 +596,7 @@ class _Deriver:
                           f"reads {name!r} before assigning it, so it "
                           "cannot be renamed")
             fresh = scope.renamed[name] = \
-                f"{name}_{scope.qualname.split('.')[1].lstrip('_')}"
+                f"{name}_{scope.qualname.split('.')[1].strip('_')}"
         node.id = fresh or name
         self.stores.add(node.id)
         return node
@@ -742,6 +750,10 @@ class _Deriver:
                 if site is not None:
                     return self.inline(site, scope, ("assign", target.id),
                                        stmt)
+                if type(value) is ast.Call and type(value.func) is ast.Name \
+                        and (scope.qualname, f"{value.func.id}.__init__") \
+                        in _INLINE:
+                    return self.construct(target, value, scope, stmt)
             value = stmt.value = self.expr(value, scope)
             if type(target) is ast.Name and type(value) is ast.Name \
                     and value.id == target.id:
@@ -814,7 +826,9 @@ class _Deriver:
             return None
         return callee, receiver, value
 
-    def inline(self, site, scope, form, ref) -> List[ast.stmt]:
+    def inline(self, site, scope, form, ref, lead=()) -> List[ast.stmt]:
+        """The callee's body for one call site (``lead`` runs once the
+        arguments are bound)."""
         callee, receiver, call = site
         op = f"inline {callee} into {scope.qualname}"
         scope.counts[callee] = scope.counts.get(callee, 0) + 1
@@ -842,9 +856,28 @@ class _Deriver:
                 prelude.append(_at(ast.Assign([target], arg), arg))
         body = self.lower(function.body, _INLINE[(scope.qualname, callee)][0],
                           ast.Return, op, callee, form, inner)
-        body = prelude + self.stmts(body, inner)
+        body = prelude + list(lead) + self.stmts(body, inner)
         self.check_counts(callee, inner.counts)
         return body
+
+    def construct(self, target, call, scope, ref) -> List[ast.stmt]:
+        """``target = Class(...)`` built in place: ``target =
+        _new(Class)``, then ``Class.__init__`` inlined on ``target``."""
+        cls = call.func.id
+        init = f"{cls}.__init__"
+        _relpath, text, _start = self.locate(init)
+        head = text.find(f"\nclass {cls}")
+        if not text.startswith(f"\nclass {cls}:", head) or \
+                "\n    def __new__(" in text[head:]:
+            self.fail(f"inline {init} into {scope.qualname}", init,
+                      "the class has a base or a __new__, so "
+                      "object.__new__ does not build it")
+        receiver = target.id
+        lead = self.stmt(_at(ast.Assign([target], _at(ast.Call(
+            _at(ast.Name("_new", ast.Load()), ref),
+            [_at(ast.Name(cls, ast.Load()), ref)], []), ref)), ref), scope)
+        return self.inline((init, receiver, call), scope, ("expr",), ref,
+                           lead)
 
     def lower(self, body, flow: str, node_type, op, qualname, form, scope):
         """Rewrite each ``node_type`` exit of ``body`` per its declared
@@ -1071,7 +1104,7 @@ class _Deriver:
         if key.has_on_cycle:
             uses.append("policy_on_cycle")
         if key.skip_enabled:
-            uses += ["gstats", "skip_target", "skip_to"]
+            uses += ["gstats", "fu_capacity", "skip_target", "skip_to"]
         for name in uses:
             self.loads[name] = self.loads.get(name, 0) + 1
         locals_ = {local for local in self.hoists.values()
@@ -1109,8 +1142,7 @@ class _Deriver:
                   "        now = clock"]
         if key.skip_enabled:
             lines += ["        gseq_before = pipeline._gseq",
-                      "        committed_before = gstats.committed",
-                      "        executed_before = gstats.executed"]
+                      "        committed_before = gstats.committed"]
         lines += [f"        available[{kind}] = {count}"
                   for kind, count in enumerate(key.fu_caps)]
         lines += ["        if heap and heap[0] <= now:",
@@ -1129,8 +1161,7 @@ class _Deriver:
             lines += ["        if (pipeline._gseq != gseq_before",
                       "                or gstats.committed != "
                       "committed_before",
-                      "                or gstats.executed != "
-                      "executed_before):",
+                      "                or available != fu_capacity):",
                       "            continue",
                       "        target = skip_target(clock, cap)",
                       "        if target > clock:",

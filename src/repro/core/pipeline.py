@@ -228,8 +228,8 @@ class SMTPipeline:
         loads replaying against a full file), or the policy's
         :meth:`~repro.policies.base.FetchPolicy.skip_horizon`.
         ``self.cycle`` jumps straight there, with the per-cycle
-        statistics (register-occupancy samples, runahead cycles,
-        stall/conflict counters) bulk-accounted so results are
+        statistics (register-occupancy samples, runahead cycles, the
+        cycle count) bulk-accounted so results are
         bit-identical to stepping every cycle (see
         ``tests/test_golden_digest.py``).  Windows *inside* a busy
         thread are skippable too: a thread spinning on a rejected load
@@ -251,14 +251,15 @@ class SMTPipeline:
         gseq_before = self._gseq
         gstats = self.gstats
         committed_before = gstats.committed
-        executed_before = gstats.executed
         self.step()
-        # Activity precheck: a cycle that fetched, issued or committed
-        # anything cannot open an idle window, so skip the full
-        # quiescence scan (the overwhelmingly common case while busy).
+        # Activity precheck: a cycle that fetched, issued (spent an FU
+        # budget) or committed anything cannot open an idle window, so
+        # skip the full quiescence scan (the overwhelmingly common case
+        # while busy).
+        fus = self.fus
         if (self._gseq != gseq_before
                 or gstats.committed != committed_before
-                or gstats.executed != executed_before):
+                or fus._available != fus._capacity):
             return
         start = self.cycle
         target = self._skip_target(start, limit)
@@ -389,8 +390,6 @@ class SMTPipeline:
         cycles exactly as ``target - start`` no-op steps would have.
         """
         k = target - start
-        stalled_threads = 0
-        conflicts = 0
         for thread in self.threads:
             held = thread.regs_held[0] + thread.regs_held[1]
             stats = thread.stats
@@ -401,21 +400,7 @@ class SMTPipeline:
             else:
                 stats.normal_reg_samples += k
                 stats.normal_regs_held += k * held
-            if thread.fetch_queue:
-                stalled_threads += 1
-            gate = thread.fetch_blocked_until
-            if thread.fetch_gated_until > gate:
-                gate = thread.fetch_gated_until
-            if gate > start:
-                # can_fetch() is false until the gate expires; policies
-                # that re-gate every cycle (hill climbing) would keep it
-                # false longer, but only this conservative count is
-                # derivable from frozen state (gstats are diagnostics,
-                # not part of SimResult).
-                conflicts += k if gate - start > k else gate - start
         self.gstats.cycles += k
-        self.gstats.dispatch_stalls += k * stalled_threads
-        self.gstats.fetch_conflicts += conflicts
         self.skipped_cycles += k
         self.skip_jumps += 1
         self.cycle = target
@@ -566,12 +551,11 @@ class SMTPipeline:
 
     def _fold(self, inst: DynInst, now: int) -> None:
         """Squash-free cancellation: complete instantly with an INV result."""
+        self.queues[OP_QUEUE_BY_CODE[inst.op]].remove(inst)
+        self._uncount(inst)
         inst.invalid = True
         inst.state = _COMPLETED
         inst.complete_cycle = now
-        if inst.in_iq:
-            self.queues[OP_QUEUE_BY_CODE[inst.op]].remove(inst)
-        self._uncount(inst)
         thread = self.threads[inst.tid]
         # Folded instructions never execute (paper §3.1), so they are kept
         # out of the executed-instruction energy proxy.
@@ -591,8 +575,9 @@ class SMTPipeline:
                 self._fold(inst, now)
 
     def _uncount(self, inst: DynInst) -> None:
-        if inst.counted:
-            inst.counted = False
+        """Release an ICOUNT slot, before the state change: an instruction
+        holds one while ``state <= READY``."""
+        if inst.state <= _READY:
             self.threads[inst.tid].icount -= 1
 
     # --------------------------------------------------------------- commit
@@ -629,7 +614,6 @@ class SMTPipeline:
                 if head.state == _COMPLETED:
                     window.popleft()        # inlined _commit / pop_head
                     rob._occupancy -= 1
-                    rob.per_thread[tid] -= 1
                     head.state = _RETIRED
                     stats.committed += 1
                     gstats.committed += 1
@@ -669,7 +653,6 @@ class SMTPipeline:
                 break
             window.popleft()        # inlined _pseudo_retire / pop_head
             rob._occupancy -= 1
-            rob.per_thread[tid] -= 1
             head.state = _RETIRED
             stats.pseudo_retired += 1
             # Forward progress, albeit speculative.
@@ -789,13 +772,10 @@ class SMTPipeline:
     def _issue_stage(self, now: int) -> None:
         # IssueQueueKind and FUKind coincide numerically (INT/FP + LS/LDST),
         # so the queue index doubles as the FU pool index.
-        fus = self.fus
-        available = fus._available
-        issued = fus.issued
+        available = self.fus._available
         threads = self.threads
         events = self._events
         heap = self._event_heap
-        gstats = self.gstats
         issue_load = self._issue_load
         issue_store = self._issue_store
         for queue_kind in (2, 0, 1):     # LS first, then INT, FP
@@ -827,22 +807,15 @@ class SMTPipeline:
                 # Inlined FUPool.acquire: the take_ready budget is the
                 # available unit count, so the pool can never be
                 # exhausted here.
-                kind = OP_FU_BY_CODE[inst.op]
-                available[kind] -= 1
-                issued[kind] += 1
-                inst.state = _ISSUED
-                # Inlined queue.remove: a selected entry is always in its
-                # queue, and take_ready already stripped replay deferral.
-                inst.in_iq = False
+                available[OP_FU_BY_CODE[inst.op]] -= 1
+                # Inlined queue.remove and _uncount: a selected entry is
+                # READY, so it holds its queue entry and its ICOUNT slot,
+                # and take_ready already stripped replay deferral.
                 queue.size -= 1
                 per_thread[tid] -= 1
-                if inst.counted:   # inlined _uncount
-                    inst.counted = False
-                    thread.icount -= 1
-                stats = thread.stats
-                stats.issued += 1
-                stats.executed += 1
-                gstats.executed += 1
+                thread.icount -= 1
+                inst.state = _ISSUED
+                thread.stats.executed += 1
         if self._fold_worklist:
             self._drain_folds(now)
 
@@ -943,7 +916,7 @@ class SMTPipeline:
     def _resolve_misprediction(self, inst: DynInst, now: int) -> None:
         thread = self.threads[inst.tid]
         thread.stats.mispredicts += 1
-        self.squash_thread_younger(thread, inst.seq)
+        self.squash_thread_younger(thread, inst.gseq)
         next_index = inst.trace_index + 1
         next_pass = inst.pass_no
         if next_index >= len(thread.trace):
@@ -955,8 +928,9 @@ class SMTPipeline:
     # --------------------------------------------------------------- squash
 
     def squash_thread_younger(self, thread: ThreadContext,
-                              boundary_seq: int) -> int:
-        """Cancel all of a thread's instructions younger than a boundary.
+                              boundary_gseq: int) -> int:
+        """Cancel all of a thread's instructions younger than a boundary
+        (a ``gseq``: global fetch order also orders each thread).
 
         Returns the number of instructions squashed.  Rename repair runs
         youngest-first so front-end map restoration is exact.
@@ -968,7 +942,7 @@ class SMTPipeline:
             thread.stats.squashed += 1
             count += 1
         thread.fetch_queue.clear()
-        for inst in self.rob.squash_younger(thread.tid, boundary_seq):
+        for inst in self.rob.squash_younger(thread.tid, boundary_gseq):
             self._squash_rob_entry(thread, inst)
             count += 1
         thread.fetch_line = -1
@@ -980,8 +954,7 @@ class SMTPipeline:
 
     def _squash_rob_entry(self, thread: ThreadContext,
                           inst: DynInst) -> None:
-        if inst.in_iq:
-            self.queues[OP_QUEUE_BY_CODE[inst.op]].remove(inst)
+        self.queues[OP_QUEUE_BY_CODE[inst.op]].remove(inst)
         self._uncount(inst)
         if inst.l2_counted:
             inst.l2_counted = False
@@ -1007,7 +980,6 @@ class SMTPipeline:
             fetch_queue = thread.fetch_queue
             while budget > 0 and fetch_queue:
                 if not dispatch(thread, fetch_queue[0], now):
-                    self.gstats.dispatch_stalls += 1
                     break
                 fetch_queue.popleft()
                 budget -= 1
@@ -1033,11 +1005,10 @@ class SMTPipeline:
             # resources past decode — straight to pseudo-commit, INV.
             rob._queues[tid].append(inst)   # inlined append
             rob._occupancy += 1
-            rob.per_thread[tid] += 1
+            self._uncount(inst)
             inst.state = _COMPLETED
             inst.invalid = True
             inst.complete_cycle = now
-            self._uncount(inst)
             if IS_FP_BY_CODE[op] and inst.dest_arch != NO_REG:
                 thread.note_arch_invalid(inst.dest_arch, True)
             stats.dispatched += 1
@@ -1056,7 +1027,6 @@ class SMTPipeline:
 
         rob._queues[tid].append(inst)   # inlined append, checked above
         rob._occupancy += 1
-        rob.per_thread[tid] += 1
         inst.state = _DISPATCHED
         stats.dispatched += 1
 
@@ -1107,15 +1077,9 @@ class SMTPipeline:
 
         if dest_file is not None:
             # Inlined PhysRegFile.alloc (the free list was checked above).
-            free = dest_file._free
-            preg = free.pop()
+            preg = dest_file._free.pop()
             dest_file._allocated[preg] = True
             dest_file.ready[preg] = _NEVER
-            dest_file.inv[preg] = False
-            dest_file.pinned[preg] = False
-            used = dest_file.size - len(free)
-            if used > dest_file.high_water:
-                dest_file.high_water = used
             if dest_arch < _NINT:
                 klass = 0
                 arch_index = dest_arch
@@ -1133,7 +1097,6 @@ class SMTPipeline:
 
         queue.size += 1                      # inlined insert, checked above
         queue.per_thread[tid] += 1
-        inst.in_iq = True
         if pending == 0:
             mask = inst.src_inv_mask         # the _src_ready fold test
             if (mask & 1) if inst.is_store else mask:
@@ -1160,7 +1123,6 @@ class SMTPipeline:
             thread = threads[tid]
             if (now < thread.fetch_blocked_until     # inlined can_fetch
                     or now < thread.fetch_gated_until):
-                self.gstats.fetch_conflicts += 1
                 continue
             taken = self._fetch_thread(thread, now, width - fetched_total)
             if taken > 0:
@@ -1201,7 +1163,6 @@ class SMTPipeline:
         data_region = thread.data_region
         trace_len = len(ops)
         in_runahead = thread.mode is _RUNAHEAD
-        seq = thread.seq
         cursor = thread.cursor
         append = fetch_queue.append
         ifetch_packed = self.mem.ifetch_packed
@@ -1218,22 +1179,19 @@ class SMTPipeline:
             pc = pcs_off[cursor]
             pass_no = thread.pass_no
             inst = DynInst(
-                tid, seq, cursor, pass_no,
+                tid, gseq, cursor, pass_no,
                 ops[cursor], pc, 0,
                 dests[cursor], src1s[cursor], src2s[cursor],
                 takens[cursor],
             )
-            inst.gseq = gseq
             gseq += 1
             if inst.is_mem:
                 inst.addr = data_base + (
                     (addrs[cursor] + pass_no * pass_stride) % data_region)
-            seq += 1
             cursor += 1
             if cursor >= trace_len:
                 cursor = 0
                 thread.pass_no = pass_no + 1
-            inst.counted = True
             append(inst)
             count += 1
             if inst.is_branch:
@@ -1250,7 +1208,6 @@ class SMTPipeline:
         if count:
             # Per-instruction counters, applied once per fetch block.
             self._gseq = gseq
-            thread.seq = seq
             thread.icount += count
             stats.fetched += count
         return count

@@ -12,7 +12,13 @@ tracks, per physical register:
 * the waiter list used for event-driven wakeup of dependent instructions.
 
 The conservation invariant — every register is either free or allocated,
-never both — is cheap to check and exercised heavily by the test suite.
+never both, and no free register is pinned — is cheap to check and
+exercised heavily by the test suite.
+
+Allocation writes only ``ready`` (to :data:`NEVER`): the INV bit is read
+only once ``ready <= now``, and every write that lowers ``ready`` also
+writes ``inv``; a free register is never pinned, since release refuses
+pinned registers.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ class PhysRegFile:
     """A pool of physical registers of one class."""
 
     __slots__ = ("size", "name", "_free", "_allocated", "ready", "inv",
-                 "pinned", "waiters", "high_water")
+                 "pinned", "waiters")
 
     def __init__(self, name: str, size: int) -> None:
         if size < 1:
@@ -43,7 +49,6 @@ class PhysRegFile:
         self.inv = [False] * size
         self.pinned = [False] * size
         self.waiters: List[List[DynInst]] = [[] for _ in range(size)]
-        self.high_water = 0
 
     # --- allocation --------------------------------------------------------
 
@@ -63,11 +68,6 @@ class PhysRegFile:
         preg = free.pop()
         self._allocated[preg] = True
         self.ready[preg] = NEVER
-        self.inv[preg] = False
-        self.pinned[preg] = False
-        used = self.size - len(free)   # allocated_count sans property call
-        if used > self.high_water:
-            self.high_water = used
         return preg
 
     def release(self, preg: int) -> None:
@@ -134,3 +134,6 @@ class PhysRegFile:
             if self._allocated[preg]:
                 raise SimulationError(
                     f"{self.name}: p{preg} both free and allocated")
+            if self.pinned[preg]:
+                raise SimulationError(
+                    f"{self.name}: free register p{preg} is pinned")

@@ -4,7 +4,7 @@ The paper's machine uses a single 512-entry ROB shared by all threads
 (Table 1, §4): a thread blocked on memory starves co-runners by *occupying*
 entries, not by head-of-line blocking — each thread retires its own stream
 in order.  This is modelled as one FIFO per thread plus a shared capacity
-counter.
+counter; a thread's occupancy is the length of its FIFO.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .dyninst import DynInst
 class SharedROB:
     """Per-thread in-order windows drawing from one shared entry pool."""
 
-    __slots__ = ("capacity", "_queues", "_occupancy", "per_thread")
+    __slots__ = ("capacity", "_queues", "_occupancy")
 
     def __init__(self, capacity: int, num_threads: int) -> None:
         if capacity < 1 or num_threads < 1:
@@ -28,7 +28,6 @@ class SharedROB:
         self._queues: List[Deque[DynInst]] = [deque()
                                               for _ in range(num_threads)]
         self._occupancy = 0
-        self.per_thread = [0] * num_threads
 
     @property
     def occupancy(self) -> int:
@@ -46,7 +45,6 @@ class SharedROB:
             raise SimulationError("ROB overflow")
         self._queues[inst.tid].append(inst)
         self._occupancy += 1
-        self.per_thread[inst.tid] += 1
 
     def head(self, tid: int) -> DynInst:
         """Oldest un-retired instruction of a thread (raises if empty)."""
@@ -59,21 +57,21 @@ class SharedROB:
         """Retire the thread's oldest instruction."""
         inst = self._queues[tid].popleft()
         self._occupancy -= 1
-        self.per_thread[tid] -= 1
         return inst
 
-    def squash_younger(self, tid: int, boundary_seq: int) -> List[DynInst]:
-        """Remove all of a thread's instructions younger than ``boundary_seq``.
+    def squash_younger(self, tid: int, boundary_gseq: int) -> List[DynInst]:
+        """Remove all of a thread's instructions younger than
+        ``boundary_gseq`` (global fetch order, which orders each thread's
+        own stream too).
 
         Returned youngest-first, which is the order squash repair must
         undo renames in.
         """
         queue = self._queues[tid]
         squashed: List[DynInst] = []
-        while queue and queue[-1].seq > boundary_seq:
+        while queue and queue[-1].gseq > boundary_gseq:
             squashed.append(queue.pop())
             self._occupancy -= 1
-            self.per_thread[tid] -= 1
         return squashed
 
     def squash_all(self, tid: int) -> List[DynInst]:
@@ -89,7 +87,3 @@ class SharedROB:
         if total != self._occupancy:
             raise SimulationError(
                 f"ROB occupancy counter {self._occupancy} != {total}")
-        for tid, queue in enumerate(self._queues):
-            if len(queue) != self.per_thread[tid]:
-                raise SimulationError(
-                    f"ROB per-thread counter broken for t{tid}")

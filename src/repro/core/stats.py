@@ -1,9 +1,13 @@
 """Simulation statistics.
 
-``executed`` counts every instruction the machine did work for — committed,
-pseudo-retired, folded, and squashed-after-execution alike — because the
-paper's energy proxy is "number of executed instructions" (§5.3).
-``committed`` counts only architecturally-retired work, the numerator of IPC.
+``executed`` counts every instruction issued to a functional unit or the
+memory system — committed, pseudo-retired and squashed-after-issue alike —
+because the paper's energy proxy is "number of executed instructions"
+(§5.3).  Folded instructions (INV operands in runahead, FP and SYNC ops
+dropped at decode) never execute, so they count in ``folded`` only.
+Every issue executes, so ``issued`` is ``executed``: it is counted once
+and serialized under both names.  ``committed`` counts only
+architecturally-retired work, the numerator of IPC.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Dict
 #: fails any stats field missing from this tuple and from
 #: :data:`DIGEST_SAFE_DIAGNOSTICS`, so new counters must pick a side.
 THREAD_DIGEST_FIELDS = (
-    "fetched", "dispatched", "issued", "folded", "executed",
+    "fetched", "dispatched", "folded", "executed",
     "committed", "pseudo_retired", "squashed", "branches",
     "mispredicts", "runahead_episodes", "runahead_cycles", "passes",
     "normal_reg_samples", "normal_regs_held",
@@ -30,10 +34,7 @@ THREAD_DIGEST_FIELDS = (
 #: Stats slots declared digest-exempt: :class:`GlobalStats` is a
 #: diagnostics surface, never serialized into SimResult, so these may
 #: grow without touching salts or goldens.
-DIGEST_SAFE_DIAGNOSTICS = (
-    "cycles", "executed", "committed", "fetch_conflicts",
-    "dispatch_stalls", "macro_insts",
-)
+DIGEST_SAFE_DIAGNOSTICS = ("cycles", "committed", "macro_insts")
 
 
 @dataclasses.dataclass(slots=True)
@@ -43,9 +44,8 @@ class ThreadStats:
 
     fetched: int = 0
     dispatched: int = 0
-    issued: int = 0
     folded: int = 0           # invalid instructions never executed (runahead)
-    executed: int = 0         # finished execution (valid) or folded
+    executed: int = 0         # issued to a unit; folded ones never are
     committed: int = 0        # architectural retirement
     pseudo_retired: int = 0   # runahead-mode retirement
     squashed: int = 0
@@ -61,12 +61,20 @@ class ThreadStats:
     runahead_reg_samples: int = 0
     runahead_regs_held: int = 0
 
+    @property
+    def issued(self) -> int:
+        return self.executed
+
     def to_dict(self) -> Dict[str, int]:
         """Canonical JSON-ready form (all fields are plain ints)."""
-        return dataclasses.asdict(self)
+        data = dataclasses.asdict(self)
+        data["issued"] = self.executed
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, int]) -> "ThreadStats":
+        data = dict(data)
+        data.pop("issued", None)
         return cls(**data)
 
     def ipc(self, cycles: int) -> float:
@@ -94,10 +102,7 @@ class GlobalStats:
     """
 
     cycles: int = 0
-    executed: int = 0
     committed: int = 0
-    fetch_conflicts: int = 0   # cycles a gated thread was skipped at fetch
-    dispatch_stalls: int = 0   # dispatch attempts blocked by a full resource
 
     # Always 0: the fused dispatch fast path it counted is gone, but
     # the benchmark harness still reads it for its core.macro_* metrics.

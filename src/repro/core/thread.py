@@ -49,7 +49,7 @@ class ThreadContext:
     __slots__ = (
         "tid", "trace", "rename", "mode", "stats", "_pass_stride",
         "ops", "dests", "src1s", "src2s", "addrs", "takens", "pcs",
-        "cursor", "pass_no", "seq",
+        "cursor", "pass_no",
         "fetch_queue", "fetch_blocked_until", "fetch_gated_until",
         "fetch_line", "fetch_line_ready",
         "icount", "regs_held", "last_index",
@@ -75,7 +75,6 @@ class ThreadContext:
 
         self.cursor = 0
         self.pass_no = 0
-        self.seq = 0
 
         self.fetch_queue: Deque[DynInst] = deque()
         self.fetch_blocked_until = 0   # structural: redirects, i-cache miss
@@ -126,18 +125,16 @@ class ThreadContext:
         # Positional DynInst construction: this is the hottest allocation
         # in the simulator (one per fetched instruction).
         inst = DynInst(
-            self.tid, self.seq, index, pass_no,
+            self.tid, gseq, index, pass_no,
             self.ops[index], self.pcs[index] + self.code_offset, 0,
             self.dests[index], self.src1s[index], self.src2s[index],
             self.takens[index],
         )
-        inst.gseq = gseq
         if inst.is_mem:
             # physical_addr(), inlined for the per-instruction hot path.
             inst.addr = self.data_base + (
                 (self.addrs[index] + pass_no * self._pass_stride)
                 % self.data_region)
-        self.seq += 1
         self.cursor += 1
         if self.cursor >= len(self.ops):
             self.cursor = 0

@@ -15,8 +15,8 @@ thread, how much of each resource it is *entitled* to:
 
 This is a faithful-in-spirit approximation; the original paper's exact
 sharing formula differs in constants but behaves the same way (protect
-memory-bound threads' share without letting them monopolize).  See
-DESIGN.md §5.
+memory-bound threads' share without letting them monopolize).  See the
+README, "Deviations from the paper".
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ class FlushPolicy(ICountPolicy):
         if inst.complete_cycle <= now:
             return
         pipeline = self.pipeline
-        pipeline.squash_thread_younger(thread, inst.seq)
+        pipeline.squash_thread_younger(thread, inst.gseq)
         # Resume fetch just past the missing load once it resolves.
         next_index = inst.trace_index + 1
         next_pass = inst.pass_no

@@ -103,7 +103,7 @@ class HillClimbingPolicy(ICountPolicy):
         int_pool = max(1, self.config.int_regs - 32 * num)
         for tid, thread in enumerate(self.threads):
             share = self.shares[tid]
-            over_rob = (pipeline.rob.per_thread[tid]
+            over_rob = (len(pipeline.rob._queues[tid])
                         > max(1.0, share * rob_capacity))
             over_regs = (thread.regs_held[RegClass.INT] - 32
                          > max(1.0, share * int_pool))

@@ -9,7 +9,8 @@ distances, branch behaviour, code footprint, data footprint and access
 patterns), and :class:`~repro.trace.generator.TraceGenerator` expands a
 profile into a deterministic dynamic instruction trace.
 
-See DESIGN.md §2 for why this substitution preserves the paper's behaviour.
+See the README, "Deviations from the paper", for why this substitution
+preserves the paper's behaviour.
 """
 
 from .instruction import TraceInstruction

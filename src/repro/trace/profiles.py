@@ -19,7 +19,8 @@ L2 behaviour and memory-level parallelism:
 Numbers are set from the well-known published characterizations of SPEC2000
 (instruction mixes, working sets and L2 MPKI orders of magnitude), scaled to
 this simulator.  Absolute fidelity is not required — the experiments only
-rely on the ILP/MEM contrast and the per-class averages (DESIGN.md §2).
+rely on the ILP/MEM contrast and the per-class averages (README,
+"Deviations from the paper").
 """
 
 from __future__ import annotations

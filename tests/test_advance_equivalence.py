@@ -16,8 +16,9 @@ replay windows — the intra-thread skip case.
 
 Thread counts beyond the 1/2/4 baseline shape (3, 5, 6 and 8 — the
 non-power-of-two rotation paths, up to the kernel tier's
-``MAX_THREADS``) run the two policies that stress the most per-thread
-state, RaT and DCRA, on short traces.
+``MAX_THREADS``) run every registered policy on short traces: first the
+two that stress the most per-thread state, RaT and DCRA, then the other
+six, drawn after them so the earlier cells keep their draws.
 """
 
 from __future__ import annotations
@@ -50,16 +51,24 @@ def _random_cells():
     mem = list(mem_benchmarks())
     ilp = list(ilp_benchmarks())
     cells = []
+
+    def draw(threads, policy, shortest, longest):
+        # First slot MEM-class so long-latency misses occur; the rest
+        # drawn from the full set.
+        names = [rng.choice(mem)]
+        names += [rng.choice(mem + ilp) for _ in range(threads - 1)]
+        trace_len = rng.randrange(shortest, longest + 1, 50)
+        seed = rng.randrange(1, 1000)
+        cells.append((threads, policy, tuple(names), trace_len, seed))
+
     for threads in THREAD_COUNTS:
         extra = threads in EXTRA_THREAD_COUNTS
         for policy in EXTRA_POLICIES if extra else policy_names():
-            # First slot MEM-class so long-latency misses occur; the rest
-            # drawn from the full set.
-            names = [rng.choice(mem)]
-            names += [rng.choice(mem + ilp) for _ in range(threads - 1)]
-            trace_len = rng.randrange(200, 301 if extra else 401, 50)
-            seed = rng.randrange(1, 1000)
-            cells.append((threads, policy, tuple(names), trace_len, seed))
+            draw(threads, policy, 200, 300 if extra else 400)
+    for threads in EXTRA_THREAD_COUNTS:
+        for policy in policy_names():
+            if policy not in EXTRA_POLICIES:
+                draw(threads, policy, 100, 150)
     return cells
 
 

@@ -93,6 +93,25 @@ class TestSMTConfigValidation:
         with pytest.raises(ConfigError):
             config.validate()
 
+    def test_rejects_zero_latency_dcache(self):
+        # A 1-thread mcf cell with a zero-latency D-cache used to pass
+        # validate() and then run to its cycle cap without a commit; one
+        # cycle is the smallest latency the event table can complete.
+        from repro.core.processor import SMTProcessor
+        from repro.trace.generator import generate_trace
+
+        def config(latency):
+            return dataclasses.replace(
+                baseline(), max_cycles=50_000,
+                dcache=dataclasses.replace(baseline().dcache,
+                                           latency=latency))
+        with pytest.raises(ConfigError, match="dcache.latency"):
+            config(0).validate()
+        result = SMTProcessor(config(1).validate(),
+                              [generate_trace("mcf", 1000, 1)]).run()
+        assert not result.truncated
+        assert result.thread_stats[0].committed >= 1000
+
 
 class TestSMTConfigHelpers:
     def test_with_policy(self):

@@ -24,6 +24,7 @@ from repro.core.kernel_gen import (MAX_THREADS, kernel_source,
 from repro.core.processor import SMTProcessor
 from repro.errors import ConfigError
 from repro.policies.icount import ICountPolicy
+from repro.policies.registry import policy_names
 from repro.sim.kernels import (kernel_names, python_run_loop,
                                resolve_run_loop)
 from repro.trace.generator import generate_trace
@@ -153,17 +154,28 @@ PARITY_BENCHMARKS = ("art", "mcf", "gzip", "swim", "twolf", "bzip2",
                      "applu", "eon")
 
 
-@pytest.mark.parametrize("policy", ["rat", "dcra"])
-@pytest.mark.parametrize("threads", PARITY_THREAD_COUNTS)
-def test_default_tier_matches_python_across_thread_range(monkeypatch,
-                                                         threads, policy):
+#: (threads, policy, trace length): RaT and DCRA at every thread count,
+#: every other registered policy past the 1/2/4 shapes the goldens pin.
+PARITY_CELLS = [(threads, policy, 160)
+                for threads in PARITY_THREAD_COUNTS
+                for policy in ("dcra", "rat")] + [
+    (threads, policy, 120)
+    for threads in PARITY_THREAD_COUNTS if threads not in (1, 2, 4)
+    for policy in policy_names() if policy not in ("dcra", "rat")]
+
+
+@pytest.mark.parametrize(
+    "threads,policy,trace_len", PARITY_CELLS,
+    ids=[f"{threads}-{policy}" for threads, policy, _ in PARITY_CELLS])
+def test_default_tier_matches_python_across_thread_range(
+        monkeypatch, threads, policy, trace_len):
     """The default tier compiles a kernel for every thread count up to
     MAX_THREADS and matches the python tier bit for bit there."""
     results = {}
     for mode in ("python", "auto"):
         monkeypatch.setenv(KERNEL_ENV_VAR, mode)
         processor = _processor(policy, PARITY_BENCHMARKS[:threads],
-                               trace_len=160)
+                               trace_len=trace_len)
         if mode == "auto":
             assert resolve_run_loop(processor.pipeline) \
                 is not python_run_loop

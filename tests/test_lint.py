@@ -350,9 +350,10 @@ def test_digest_declarations_agree_with_runtime_dataclasses():
     assert set(stats.THREAD_DIGEST_FIELDS) == thread_fields
     assert set(stats.DIGEST_SAFE_DIAGNOSTICS) == global_fields
     # The declarations also pin the serialization surface: to_dict()
-    # must expose exactly the digest-participating slots.
+    # must expose exactly the digest-participating slots, plus
+    # ``issued``, which is ``executed`` under its serialized name.
     assert set(stats.ThreadStats().to_dict()) == \
-        set(stats.THREAD_DIGEST_FIELDS)
+        set(stats.THREAD_DIGEST_FIELDS) | {"issued"}
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from repro.errors import SimulationError
 from repro.isa import OpClass, RegClass
 
 
-def _inst(tid=0, seq=0):
-    return DynInst(tid, seq, 0, 0, int(OpClass.IALU), 0x100, 0, 1, -1, -1,
+def _inst(tid=0, gseq=0):
+    return DynInst(tid, gseq, 0, 0, int(OpClass.IALU), 0x100, 0, 1, -1, -1,
                    False)
 
 
@@ -31,6 +31,9 @@ class TestPhysRegFile:
         preg2 = file.alloc()
         assert preg2 == preg
         assert file.ready[preg2] == NEVER
+        # The stale INV bit is unobservable: it is read only once the
+        # value is ready, and making it ready rewrites it.
+        file.set_ready(preg2, 6)
         assert not file.inv[preg2]
 
     def test_double_release_raises(self):
@@ -73,12 +76,13 @@ class TestPhysRegFile:
             file.alloc()
         file.check_conservation()
 
-    def test_high_water(self):
-        file = PhysRegFile("t", 8)
-        regs = [file.alloc() for _ in range(6)]
-        for preg in regs:
-            file.release(preg)
-        assert file.high_water == 6
+    def test_conservation_rejects_a_pinned_free_register(self):
+        file = PhysRegFile("t", 4)
+        preg = file.alloc()
+        file.release(preg)
+        file.pinned[preg] = True
+        with pytest.raises(SimulationError, match="is pinned"):
+            file.check_conservation()
 
     def test_counts(self):
         file = PhysRegFile("t", 8)

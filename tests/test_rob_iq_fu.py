@@ -10,35 +10,34 @@ from repro.errors import SimulationError
 from repro.isa import FUKind, OpClass
 
 
-def _inst(tid=0, seq=0, op=OpClass.IALU, gseq=None):
-    inst = DynInst(tid, seq, seq, 0, int(op), 0x100 + 4 * seq, 0, 1, -1, -1,
-                   False)
-    inst.gseq = gseq if gseq is not None else seq
-    return inst
+def _inst(tid=0, gseq=0, op=OpClass.IALU):
+    return DynInst(tid, gseq, gseq, 0, int(op), 0x100 + 4 * gseq, 0, 1, -1,
+                   -1, False)
 
 
 class TestSharedROB:
     def test_append_and_head(self):
         rob = SharedROB(8, 2)
-        first = _inst(tid=0, seq=0)
+        first = _inst(tid=0, gseq=0)
         rob.append(first)
-        rob.append(_inst(tid=1, seq=0))
+        rob.append(_inst(tid=1, gseq=0))
         assert rob.head(0) is first
         assert rob.occupancy == 2
-        assert rob.per_thread == [1, 1]
+        assert [len(list(rob.thread_window(tid))) for tid in (0, 1)] \
+            == [1, 1]
 
     def test_capacity_shared_across_threads(self):
         rob = SharedROB(4, 2)
         for seq in range(3):
-            rob.append(_inst(tid=0, seq=seq))
-        rob.append(_inst(tid=1, seq=0))
+            rob.append(_inst(tid=0, gseq=seq))
+        rob.append(_inst(tid=1, gseq=0))
         assert rob.is_full()
         with pytest.raises(SimulationError):
-            rob.append(_inst(tid=1, seq=1))
+            rob.append(_inst(tid=1, gseq=1))
 
     def test_pop_head_in_order(self):
         rob = SharedROB(8, 1)
-        instrs = [_inst(seq=seq) for seq in range(3)]
+        instrs = [_inst(gseq=seq) for seq in range(3)]
         for inst in instrs:
             rob.append(inst)
         assert rob.pop_head(0) is instrs[0]
@@ -47,17 +46,17 @@ class TestSharedROB:
 
     def test_squash_younger_returns_youngest_first(self):
         rob = SharedROB(8, 1)
-        instrs = [_inst(seq=seq) for seq in range(5)]
+        instrs = [_inst(gseq=seq) for seq in range(5)]
         for inst in instrs:
             rob.append(inst)
-        squashed = rob.squash_younger(0, boundary_seq=1)
-        assert [inst.seq for inst in squashed] == [4, 3, 2]
+        squashed = rob.squash_younger(0, boundary_gseq=1)
+        assert [inst.gseq for inst in squashed] == [4, 3, 2]
         assert rob.occupancy == 2
 
     def test_squash_only_affects_one_thread(self):
         rob = SharedROB(8, 2)
-        rob.append(_inst(tid=0, seq=0))
-        rob.append(_inst(tid=1, seq=0))
+        rob.append(_inst(tid=0, gseq=0))
+        rob.append(_inst(tid=1, gseq=0))
         rob.squash_all(0)
         assert rob.is_empty(0)
         assert not rob.is_empty(1)
@@ -65,8 +64,8 @@ class TestSharedROB:
     def test_thread_window_iterates_oldest_first(self):
         rob = SharedROB(8, 1)
         for seq in range(3):
-            rob.append(_inst(seq=seq))
-        assert [i.seq for i in rob.thread_window(0)] == [0, 1, 2]
+            rob.append(_inst(gseq=seq))
+        assert [i.gseq for i in rob.thread_window(0)] == [0, 1, 2]
 
     def test_check_occupancy(self):
         rob = SharedROB(8, 2)
@@ -78,29 +77,35 @@ class TestIssueQueue:
     def test_insert_remove_accounting(self):
         queue = IssueQueue("int", 4, 2)
         inst = _inst()
+        inst.state = InstState.DISPATCHED
         queue.insert(inst)
         assert queue.size == 1 and queue.per_thread[0] == 1
         queue.remove(inst)
-        assert queue.size == 0 and not inst.in_iq
+        assert queue.size == 0 and queue.per_thread[0] == 0
 
     def test_remove_idempotent(self):
+        # An entry is held while DISPATCHED <= state <= READY; callers
+        # release it before moving the state on, so a second remove
+        # (a squash after a fold, say) finds nothing to release.
         queue = IssueQueue("int", 4, 1)
         inst = _inst()
+        inst.state = InstState.DISPATCHED
         queue.insert(inst)
         queue.remove(inst)
+        inst.state = InstState.COMPLETED
         queue.remove(inst)
         assert queue.size == 0
 
     def test_overflow_raises(self):
         queue = IssueQueue("int", 1, 1)
-        queue.insert(_inst(seq=0))
+        queue.insert(_inst(gseq=0))
         with pytest.raises(SimulationError):
-            queue.insert(_inst(seq=1))
+            queue.insert(_inst(gseq=1))
 
     def test_take_ready_oldest_first_across_threads(self):
         queue = IssueQueue("int", 8, 2)
-        young = _inst(tid=0, seq=5, gseq=10)
-        old = _inst(tid=1, seq=1, gseq=2)
+        young = _inst(tid=0, gseq=10)
+        old = _inst(tid=1, gseq=2)
         for inst in (young, old):
             inst.state = InstState.READY
             queue.mark_ready(inst)
@@ -111,9 +116,9 @@ class TestIssueQueue:
 
     def test_take_ready_purges_squashed(self):
         queue = IssueQueue("int", 8, 1)
-        dead = _inst(seq=0)
+        dead = _inst(gseq=0)
         dead.state = InstState.SQUASHED
-        live = _inst(seq=1)
+        live = _inst(gseq=1)
         live.state = InstState.READY
         queue.mark_ready(dead)
         queue.mark_ready(live)
@@ -159,11 +164,11 @@ class TestNextReadyCycle:
 
     def test_mixed_ready_and_replay_pins_now(self):
         queue = IssueQueue("ls", 8, 2)
-        replaying = _inst(tid=0, seq=0, op=OpClass.LOAD)
+        replaying = _inst(tid=0, gseq=0, op=OpClass.LOAD)
         replaying.state = InstState.READY
         queue.insert(replaying)
         queue.requeue(replaying, replay=True)
-        issueable = _inst(tid=1, seq=1)
+        issueable = _inst(tid=1, gseq=1)
         issueable.state = InstState.READY
         queue.mark_ready(issueable)
         assert queue.next_ready_cycle(7) == 7

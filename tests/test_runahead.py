@@ -4,9 +4,10 @@ import dataclasses
 
 import pytest
 
+from repro.core.dyninst import DynInst, InstState
 from repro.core.runahead import RunaheadCache
 from repro.core.thread import ThreadMode
-from repro.isa import RegClass
+from repro.isa import NO_REG, NUM_INT_ARCH_REGS, OpClass, RegClass
 
 from repro.testing import SMALL_CONFIG, TraceBuilder, make_processor
 
@@ -161,6 +162,26 @@ class TestInvalidPropagation:
         cpu.run()
         # The chase load folded with an INV address: no speculative access.
         assert cpu.pipeline.mem.stats[0].prefetches == 0
+
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known model defect, kept bit for bit: _src_ready latches INV by "
+        "raw register number, and the INT and FP files share numbers "
+        "(ROADMAP, honest limits)"))
+    def test_fp_store_data_inv_leaves_its_int_address_valid(self):
+        # An FP store whose INT address register and FP data register
+        # share the physical number 40.  The address was ready and valid
+        # at dispatch; the data register now completes INV.  Only bit 1
+        # (src2, the data) should latch, so the store keeps its address
+        # and issues (prefetch, runahead-cache record) instead of folding.
+        pipeline = make_processor([_miss_trace()], policy="rat").pipeline
+        store = DynInst(0, 0, 0, 0, int(OpClass.FSTORE), 0x100, 0x2000,
+                        NO_REG, 1, NUM_INT_ARCH_REGS + 1, False)
+        store.psrc1 = store.psrc2 = 40
+        store.state = InstState.DISPATCHED
+        store.pending_srcs = 1
+        pipeline._src_ready(store, 10, 40, True)
+        assert store.src_inv_mask == 2
 
 
 class TestFPInvalidation:

@@ -23,7 +23,7 @@ class TestFetchCursor:
         first = thread.next_inst(gseq=0)
         second = thread.next_inst(gseq=1)
         assert first.trace_index == 0 and second.trace_index == 1
-        assert second.seq == first.seq + 1
+        assert (first.gseq, second.gseq) == (0, 1)
 
     def test_wraps_and_counts_pass(self):
         thread = _thread()
@@ -145,7 +145,7 @@ class TestNextInstMatchesPipelineInline:
                 break
         fetched = sorted(
             [inst for inst in pipeline.rob._queues[0]]
-            + list(thread.fetch_queue), key=lambda inst: inst.seq)
+            + list(thread.fetch_queue), key=lambda inst: inst.gseq)
         assert fetched, "premise: nothing was fetched in 2000 cycles"
 
         reference = SMTPipeline(config, make(),
@@ -153,12 +153,12 @@ class TestNextInstMatchesPipelineInline:
         ref_thread = reference.threads[0]
         for got in fetched:
             want = ref_thread.next_inst(got.gseq)
-            for field in ("tid", "seq", "gseq", "trace_index", "pass_no",
+            for field in ("tid", "gseq", "trace_index", "pass_no",
                           "op", "pc", "addr", "dest_arch", "src1_arch",
                           "src2_arch", "taken", "is_load", "is_store",
                           "is_mem", "is_branch"):
                 assert getattr(got, field) == getattr(want, field), (
                     f"inlined fetch loop diverged from next_inst on "
-                    f"{field} at seq {got.seq}")
+                    f"{field} at gseq {got.gseq}")
         assert ref_thread.cursor == thread.cursor
         assert ref_thread.pass_no == thread.pass_no

@@ -2,9 +2,10 @@
 
 The kernel tier is derived from the python tier's source (see
 :mod:`repro.core.kernel_gen`), so there is no mirror to keep in sync:
-an edit to a pipeline hot path must show up in every derived kernel,
-and an edit that stops a declared derivation op from matching must fail
-loudly, naming the op, the stage and the ``core/pipeline.py`` line.
+an edit to a pipeline hot path (or to ``DynInst.__init__``, which fetch
+builds in place) must show up in every derived kernel, and an edit that
+stops a declared derivation op from matching must fail loudly, naming
+the op, the stage and the source line.
 Seeded edits run against full copies of the real package, and the
 derivation reads the copied tree, not the installed package.
 """
@@ -28,11 +29,12 @@ from repro.core.kernel_gen import DerivationError, kernel_source
 
 PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
-#: Helpers every derived kernel inlines: none may survive as a call.
+#: Helpers every derived kernel inlines, and the class it builds in
+#: place: none may survive as a call.
 INLINED_HELPERS = (
     "_commit_thread", "_dispatch", "_fetch_thread", "_issue_load",
     "_issue_store", "_issue_runahead_load", "_src_ready",
-    "_recycle_runahead_dest", "take_ready",
+    "_recycle_runahead_dest", "take_ready", "DynInst",
 )
 
 FULL_KEY = dict(COVERAGE_CLASSES)["full"]
@@ -110,6 +112,45 @@ def test_changed_return_flow_fails_loudly(package_copy):
         in message
 
 
+def test_dyninst_init_edit_flows_into_derived_fetch(package_copy):
+    # Fetch builds each DynInst in place from the constructor's source,
+    # so an edit to __init__ alone reaches every kernel.
+    _edit(package_copy, "core/dyninst.py",
+          "        self.complete_cycle = -1\n",
+          "        self.complete_cycle = -2\n")
+    before = kernel_source(FULL_KEY)
+    after = kernel_source(FULL_KEY, package_copy)
+    assert "inst = _new(DynInst)" in before
+    assert "inst.complete_cycle = -1" in before
+    assert "inst.complete_cycle = -2" in after
+    assert "inst.complete_cycle = -1" not in after
+
+
+@pytest.mark.parametrize("old,new,problem", [
+    ("        self.mispredicted = False\n",
+     "        self.mispredicted = False\n"
+     "        if op < 0:\n"
+     "            return\n",
+     "has 1 exits, the declared flow covers 0"),
+    ("    def __init__(",
+     "    def __new__(cls, *args):\n"
+     "        return object.__new__(cls)\n\n"
+     "    def __init__(",
+     "has a base or a __new__"),
+], ids=["early-return", "own-new"])
+def test_broken_construction_names_op_and_dyninst_line(package_copy, old,
+                                                       new, problem):
+    _edit(package_copy, "core/dyninst.py", old, new)
+    with pytest.raises(DerivationError) as excinfo:
+        kernel_source(FULL_KEY, package_copy)
+    message = str(excinfo.value)
+    line = _def_line(package_copy, "    def __init__(", "core/dyninst.py")
+    assert "inline DynInst.__init__ into SMTPipeline._fetch_thread" \
+        in message
+    assert problem in message and "stage fetch" in message
+    assert f"core/dyninst.py:{line}" in message
+
+
 def test_no_derived_kernel_calls_an_inlined_helper():
     for label, _key, source in generated_kernels(_real_ctx()):
         called = {node.func.attr if isinstance(node.func, ast.Attribute)
@@ -132,8 +173,8 @@ def test_diverging_fu_table_fails_the_fold(monkeypatch):
     assert "OP_FU_BY_CODE" in message and "stage issue" in message
 
 
-def _def_line(root, prefix):
-    path = os.path.join(root, "core", "pipeline.py")
+def _def_line(root, prefix, relpath="core/pipeline.py"):
+    path = os.path.join(root, *relpath.split("/"))
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             if line.startswith(prefix):
