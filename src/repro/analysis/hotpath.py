@@ -1,13 +1,13 @@
-"""Rule ``hot-path-hygiene``: keep the inlined fast paths fast.
+"""Rule ``hot-path-hygiene``: keep the fast paths fast.
 
-PR 3/4 bought their 2-3x on the simulator core with a specific
-discipline inside the per-instruction hot functions: no
-raise-and-catch control flow (``try`` bodies cost a setup per entry and
-an exception per miss), no per-iteration closure allocation, and no
-attribute chain resolved twice in the same loop when a local would do.
-Nothing enforced that discipline — a well-meaning edit could quietly
-hand back the win.  This rule pins it for the functions on the
-:data:`HOT_FUNCTIONS` list (the PR 3/4 inlined fast paths; extend the
+The simulator core's speed rests on a specific discipline inside the
+per-instruction hot code: no raise-and-catch control flow (``try``
+bodies cost a setup per entry and an exception per miss), no
+per-iteration closure allocation, and no attribute chain resolved twice
+in the same loop when a local would do.  Nothing else enforces that
+discipline — a well-meaning edit could quietly hand back the win.  This
+rule pins it for every derived kernel (one per coverage class) and for
+the out-of-line functions on the :data:`HOT_FUNCTIONS` list (extend the
 list when a new fast path lands):
 
 * a ``try`` statement anywhere in a hot function;
@@ -53,26 +53,18 @@ COVERAGE_CLASSES: Tuple[Tuple[str, KernelKey], ...] = (
 )
 
 #: The guarded fast paths: (module relpath, dotted qualname).  These are
-#: the PR 3/4 per-instruction/per-cycle workhorses — the functions the
-#: bench matrix times.
+#: the out-of-line per-instruction/per-cycle workhorses the derived
+#: kernels call.  The python tier's stage methods are not listed: they
+#: are the readable reference, and their fast form is the derived kernel,
+#: which is checked per coverage class (see generated_kernels).
 HOT_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
-    ("core/pipeline.py", "SMTPipeline.step"),
-    ("core/pipeline.py", "SMTPipeline._process_events"),
-    ("core/pipeline.py", "SMTPipeline._commit_thread"),
-    ("core/pipeline.py", "SMTPipeline._issue_stage"),
-    ("core/pipeline.py", "SMTPipeline._dispatch_stage"),
-    ("core/pipeline.py", "SMTPipeline._dispatch"),
-    ("core/pipeline.py", "SMTPipeline._fetch_stage"),
-    ("core/pipeline.py", "SMTPipeline._fetch_thread"),
     ("core/pipeline.py", "SMTPipeline._skip_target"),
-    ("core/issue_queue.py", "IssueQueue.has_ready"),
     ("core/issue_queue.py", "IssueQueue.take_ready"),
     ("core/issue_queue.py", "IssueQueue.next_ready_cycle"),
     ("mem/cache.py", "Cache.lookup"),
     ("mem/hierarchy.py", "MemoryHierarchy.data_access_packed"),
     ("mem/mshr.py", "MSHRFile.expire"),
     ("branch/perceptron.py", "PerceptronPredictor.predict"),
-    ("core/thread.py", "ThreadContext.next_inst"),
     ("sim/fame.py", "fame_run"),
     # The per-instruction trace walk every cell's set-up pays.
     ("trace/generator.py", "TraceGenerator.generate"),

@@ -98,11 +98,6 @@ class DynInst:
         (self.is_load, self.is_store, self.is_mem,
          self.is_branch) = _OP_FLAGS[op]
 
-    @property
-    def active(self) -> bool:
-        """Still owns pipeline resources (not retired or squashed)."""
-        return self.state < InstState.RETIRED
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<DynInst t{self.tid} #{self.gseq} {OpClass(self.op).name} "
                 f"idx={self.trace_index} {InstState(self.state).name}"

@@ -10,7 +10,7 @@ simplification shared equally by all policies.)
 
 from __future__ import annotations
 
-from ..isa import FUKind, OP_FU_BY_CODE
+from ..isa import FUKind
 
 
 class FUPool:
@@ -32,20 +32,6 @@ class FUPool:
         self._available[0] = self._capacity[0]
         self._available[1] = self._capacity[1]
         self._available[2] = self._capacity[2]
-
-    def capacity(self, kind: FUKind) -> int:
-        return self._capacity[kind]
-
-    def available(self, kind: FUKind) -> int:
-        return self._available[kind]
-
-    def acquire(self, op: int) -> bool:
-        """Claim a unit for this cycle; False if the pool is exhausted."""
-        kind = OP_FU_BY_CODE[op]
-        if self._available[kind] <= 0:
-            return False
-        self._available[kind] -= 1
-        return True
 
     def next_release_cycle(self, now: int) -> int:
         """Earliest future cycle at which a unit becomes available.

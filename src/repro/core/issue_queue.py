@@ -56,17 +56,12 @@ class IssueQueue:
         self._replay_blocked = 0   # live ready entries deferred on the MSHRs
         self.per_thread = [0] * num_threads
 
-    @property
-    def free_entries(self) -> int:
-        return self.capacity - self.size
-
     def is_full(self) -> bool:
         return self.size >= self.capacity
 
     def insert(self, inst: DynInst) -> None:
-        """Account a dispatched instruction's queue entry."""
-        if self.is_full():
-            raise SimulationError(f"{self.name} issue queue overflow")
+        """Account a dispatched instruction's queue entry (dispatch
+        stalls on :meth:`is_full` first)."""
         self.size += 1
         self.per_thread[inst.tid] += 1
 
@@ -139,25 +134,6 @@ class IssueQueue:
             inst.replay = True
             self._replay_blocked += 1
 
-    def has_ready(self) -> bool:
-        """Any entry currently issueable?
-
-        Used by the cycle-skipping fast path after every stepped cycle:
-        a live ready entry means next cycle's issue stage has work, so
-        idle cycles cannot be jumped over.  Allocation-free on purpose —
-        a busy machine calls this every cycle and bails on the first
-        live entry; a fully-stale list (everything squashed or folded)
-        is cleared in passing.
-        """
-        ready = self._ready
-        if not ready:
-            return False
-        for inst in ready:
-            if inst.state == _READY:
-                return True
-        ready.clear()
-        return False
-
     def next_ready_cycle(self, now: int) -> Optional[int]:
         """Earliest cycle the selection logic could issue from this queue.
 
@@ -170,9 +146,9 @@ class IssueQueue:
           the memory system's next fill, which the caller must fold in
           (the queue cannot know it).
 
-        The common busy case exits on the first live non-replay entry,
-        exactly like :meth:`has_ready`; the deferred verdict is O(1) via
-        the incrementally-maintained ``_replay_blocked`` count.
+        The common busy case exits on the first live non-replay entry;
+        the deferred verdict is O(1) via the incrementally-maintained
+        ``_replay_blocked`` count.
         """
         ready = self._ready
         if not ready:
@@ -187,11 +163,6 @@ class IssueQueue:
             return MEMORY_WAIT
         ready.clear()
         return None
-
-    def ready_count(self) -> int:
-        return sum(1 for inst in self._ready
-                   if inst.state == _READY)
-
 
 #: Global fetch order approximates true age across threads.
 _inst_age = operator.attrgetter("gseq")

@@ -4,15 +4,17 @@ For one machine shape (:class:`KernelKey`: the config scalars the stage
 loops read every cycle plus the policy facts the pipeline folds at
 construction) :func:`derive_kernel` builds a complete ``run``-equivalent
 loop from the *current source* of the python tier.  The stage methods
-of ``SMTPipeline`` and the helpers they call (``IssueQueue.take_ready``,
-the ``ThreadContext`` fetch gates, ``DynInst.__init__``) are parsed,
-specialized by the declared ops below and spliced into a small
-hand-written frame: the per-run hoists, the FAME loop with its unrolled
+of ``SMTPipeline`` and the helpers they call (the ROB, issue-queue,
+register-file, rename and thread-context methods, ``DynInst.__init__``)
+are parsed, specialized by the declared ops below and spliced into a
+small hand-written frame: the per-run hoists, the FAME loop with its unrolled
 termination test, the FU reset, the event-elision guard and the
 cycle-skip precheck (a cycle that fetched, committed or spent an FU
-budget is not idle).  Nothing in the loop body is written twice, so an
-edit to ``core/pipeline.py`` flows into every kernel; an edit that stops
-a declared op from matching raises :class:`DerivationError` naming the
+budget is not idle).  Nothing in the loop body is written twice: each
+helper is the only copy of its mechanism, the python tier calls it and
+every kernel inlines it, so an edit to a helper or to
+``core/pipeline.py`` flows into every kernel; an edit that stops a
+declared op from matching raises :class:`DerivationError` naming the
 op, the stage and the source line, instead of running a stale copy.
 
 The declared ops (each preserves the python tier's semantics; together
@@ -35,11 +37,19 @@ they remove per-cycle and per-instruction work):
 * **helper inlining** (:data:`_INLINE`): each call site is replaced by
   the helper's freshly parsed body, arguments bound by name or a
   prelude assignment, helper locals that collide with a caller's names
-  renamed.  Each ``return`` follows its declared flow: ``tail`` (last
-  statement), ``else-rest`` (ends an ``if`` body: the rest of the block
-  moves into ``else``), ``exit`` (the handled value already jumps) or
-  ``break`` (leaves the helper's loop, which its next ``return``
-  follows).  A declared ``Class.__init__`` builds in place: fetch's
+  renamed.  The callee is resolved by **receiver type**: ``self`` is
+  the caller's own class and every other receiver spelling (``rob``,
+  ``queue``, ``file``, ``thread.rename``, ...) names a class in
+  :data:`_RECEIVERS`, so ``rob.is_full()`` and ``queue.is_full()``
+  inline different bodies; a declared method called on an undeclared
+  receiver is an error.  Each ``return`` follows its declared flow:
+  ``tail`` (last statement), ``else-rest`` (ends an ``if`` body: the
+  rest of the block moves into ``else``), ``exit`` (the handled value
+  already jumps) or ``break`` (leaves the helper's loop, which its next
+  ``return`` follows); a ``value`` helper is one ``return <expression>``
+  and inlines as that expression wherever the call appears (its
+  arguments are names, literals or pure reads it uses once).  A
+  declared ``Class.__init__`` builds in place: fetch's
   ``inst = DynInst(...)`` becomes ``inst = _new(DynInst)``
   (``object.__new__``) and the constructor's body with ``self`` bound
   to ``inst`` — no call frame per instruction, and sound only for a
@@ -49,8 +59,11 @@ they remove per-cycle and per-instruction work):
   lookup ``OP_FU_BY_CODE[inst.op]`` folded to the queue kind, the load
   and store paths dropped from queues no load or store dispatches to)
   and the per-thread stat sampler.
-* **loop-invariant hoists** (:data:`_LOOP_HOISTS`): the dispatch stage
-  binds a thread's rename views once per thread, not per instruction.
+* **loop-invariant hoists** (:data:`_LOOP_HOISTS`): declared attribute
+  reads become locals bound once before a stage's ``while`` loop — the
+  dispatch stage's per-thread stats and rename views, fetch's
+  address-space constants — so a helper written against ``thread``
+  costs the kernel no attribute load per instruction.
 * **undue-cycle event elision** (the frame): ``_process_events`` runs
   only when ``heap[0] <= now``.  Every ``_events`` key is pushed on the
   heap at bucket creation, and a call with no due bucket pops nothing,
@@ -154,6 +167,25 @@ _MODULES = {
     "IssueQueue": "core/issue_queue.py",
     "ThreadContext": "core/thread.py",
     "DynInst": "core/dyninst.py",
+    "SharedROB": "core/rob.py",
+    "PhysRegFile": "core/regfile.py",
+    "RenameState": "core/rename.py",
+    "FUPool": "core/fu.py",
+}
+
+#: Receiver typing: the class each receiver spelling of a helper call
+#: names (``self`` is the calling method's own class).  A method name is
+#: not enough to find the callee: ``is_full``, ``append`` and ``insert``
+#: exist on several classes.
+_RECEIVERS = {
+    "rob": "SharedROB",
+    "queue": "IssueQueue", "q0": "IssueQueue", "q1": "IssueQueue",
+    "q2": "IssueQueue",
+    "file": "PhysRegFile", "dest_file": "PhysRegFile",
+    "int_file": "PhysRegFile", "fp_file": "PhysRegFile",
+    "rename": "RenameState", "thread.rename": "RenameState",
+    "fus": "FUPool",
+    "thread": "ThreadContext",
 }
 
 #: The frame's stages in ``step`` order: (placeholder, stage method,
@@ -167,21 +199,36 @@ _STAGES = (
     ("sample", "SMTPipeline._sample_stats", ""),
 )
 
-#: Site counts of ops that only exist in runahead kernels (without
-#: runahead, dead-branch folding removes their sites before inlining).
-_RA = "runahead"
+#: Site counts that differ with runahead, as (without, with): without
+#: runahead, dead-branch folding removes the runahead-only sites before
+#: inlining.
+_RA = (0, 1)
 
 #: Helper inlining: (caller, callee) -> (return flow, sites per caller).
+#: A ``value`` flow inlines a helper whose body is one ``return`` as that
+#: expression, wherever the call appears.
 _INLINE: Dict[Tuple[str, str], Tuple[str, object]] = {
-    ("SMTPipeline._process_events", "SMTPipeline._src_ready"):
+    ("SMTPipeline._process_events", "SMTPipeline._complete"): ("", 1),
+    ("SMTPipeline._complete", "PhysRegFile.set_ready"): ("tail", 1),
+    ("SMTPipeline._complete", "SMTPipeline._src_ready"):
         ("else-rest else-rest", 1),
-    ("SMTPipeline._process_events", "SMTPipeline._recycle_runahead_dest"):
+    ("SMTPipeline._complete", "SMTPipeline._recycle_runahead_dest"):
         ("else-rest else-rest else-rest", _RA),
+    ("SMTPipeline._src_ready", "SMTPipeline._folds"): ("value", 1),
+    ("SMTPipeline._src_ready", "IssueQueue.mark_ready"): ("", 1),
+    ("SMTPipeline._recycle_runahead_dest", "SMTPipeline._release_preg"):
+        ("", 1),
+    ("SMTPipeline._recycle_runahead_dest",
+     "ThreadContext.note_arch_invalid"): ("", 1),
+    ("SMTPipeline._release_preg", "PhysRegFile.release"): ("", 1),
     # The commit loop returns into ``budget``: an empty window skips the
     # thread, runahead entry charges one slot and leaves the normal loop,
     # whose tail return then ends the helper.
     ("SMTPipeline._commit_stage", "SMTPipeline._commit_thread"):
         ("else-rest break else-rest tail", 1),
+    ("SMTPipeline._commit_thread", "SharedROB.pop_head"): ("tail", (1, 2)),
+    ("SMTPipeline._commit_thread", "SMTPipeline._release_preg"):
+        ("", (1, 2)),
     ("SMTPipeline._commit_thread", "SMTPipeline._recycle_runahead_dest"):
         ("else-rest else-rest else-rest", _RA),
     # One site per unrolled queue; loads and stores only in the LS queue.
@@ -190,26 +237,51 @@ _INLINE: Dict[Tuple[str, str], Tuple[str, object]] = {
     ("SMTPipeline._issue_stage", "SMTPipeline._issue_load"):
         ("else-rest exit tail", 1),
     ("SMTPipeline._issue_stage", "SMTPipeline._issue_store"): ("", 1),
+    ("SMTPipeline._issue_stage", "SMTPipeline.schedule"): ("", 3),
     ("SMTPipeline._issue_load", "SMTPipeline._issue_runahead_load"):
-        ("else-rest else-rest", _RA),
-    # Every store schedules its completion; the L2-detect and runahead
-    # forwarding/no-prefetch schedules are rare and stay calls.
+        ("", _RA),
+    ("SMTPipeline._issue_load", "SMTPipeline.schedule"): ("", 2),
     ("SMTPipeline._issue_store", "SMTPipeline.schedule"): ("", 1),
+    ("SMTPipeline._issue_runahead_load", "SMTPipeline.schedule"): ("", 1),
     ("SMTPipeline._issue_runahead_load", "ThreadContext.gate_fetch_until"):
         ("", 1),
     # Resource stalls count and leave the stage loop; a decode drop
     # consumes the entry like a normal dispatch.
     ("SMTPipeline._dispatch_stage", "SMTPipeline._dispatch"):
         ("exit else-rest exit exit tail", 1),
+    ("SMTPipeline._dispatch", "SharedROB.is_full"): ("value", 1),
+    ("SMTPipeline._dispatch", "SMTPipeline._drops_at_decode"):
+        ("value", 1),
+    ("SMTPipeline._dispatch", "SharedROB.append"): ("", (1, 2)),
     ("SMTPipeline._dispatch", "SMTPipeline._uncount"): ("", _RA),
-    ("SMTPipeline._dispatch", "ThreadContext.note_arch_invalid"): ("", _RA),
+    ("SMTPipeline._dispatch", "ThreadContext.note_arch_invalid"):
+        ("", (1, 2)),
+    ("SMTPipeline._dispatch", "IssueQueue.is_full"): ("value", 1),
+    ("SMTPipeline._dispatch", "PhysRegFile.is_full"): ("value", 1),
+    ("SMTPipeline._dispatch", "SMTPipeline._rename_src"):
+        ("else-rest else-rest tail", 2),
+    ("SMTPipeline._dispatch", "PhysRegFile.alloc"): ("tail", 1),
+    ("SMTPipeline._dispatch", "RenameState.rename_dest"): ("tail", 1),
+    ("SMTPipeline._dispatch", "IssueQueue.insert"): ("", 1),
+    ("SMTPipeline._dispatch", "SMTPipeline._folds"): ("value", 1),
+    ("SMTPipeline._dispatch", "IssueQueue.mark_ready"): ("", 1),
+    ("SMTPipeline._rename_src", "RenameState.lookup"): ("value", 2),
+    ("SMTPipeline._rename_src", "PhysRegFile.add_waiter"): ("", 1),
     ("SMTPipeline._fetch_stage", "SMTPipeline._fetch_thread"):
         ("else-rest tail", 1),
+    ("SMTPipeline._fetch_stage", "ThreadContext.can_fetch"): ("value", 1),
     ("SMTPipeline._fetch_thread", "ThreadContext.block_fetch_until"):
         ("", 2),
+    ("SMTPipeline._fetch_thread", "ThreadContext.physical_addr"):
+        ("value", 1),
     # Every dynamic instruction of the simulation is built here.
     ("SMTPipeline._fetch_thread", "DynInst.__init__"): ("", 1),
 }
+
+#: Method names each caller inlines: a call of one of them on a receiver
+#: :data:`_RECEIVERS` does not declare is an error, not a silent call.
+_CALLEE_NAMES = {caller: {c.split(".")[1] for k, c in _INLINE if k == caller}
+                 for caller, _callee in _INLINE}
 
 #: Loop unrolling: function -> loop variable.  ``queue_kind`` iterates a
 #: literal tuple; ``thread`` iterates ``self.threads`` (the key's count).
@@ -218,17 +290,27 @@ _UNROLL = {
     "SMTPipeline._sample_stats": "thread",
 }
 
-#: Loop-invariant hoists: function -> statements moved from anywhere in
-#: its ``while`` loop to a guard ``if`` with the loop's test, just before
-#: it.  The dispatch stage's per-thread views are stable within the
-#: stage: runahead entry and exit, the only events that swap the rename
-#: maps, happen at commit.
+#: Loop-invariant hoists: function -> (spelling, local) pairs.  Every
+#: read of a spelling inside the function's ``while`` loop, inlined
+#: helpers included, becomes the local, bound once under a guard ``if``
+#: with the loop's test, just before it; a spelling may start with an
+#: earlier local.  The dispatch stage's per-thread views are stable
+#: within the stage: runahead entry and exit, the only events that swap
+#: the rename maps, happen at commit.
 _LOOP_HOISTS = {
     "SMTPipeline._dispatch_stage": (
-        "tid = thread.tid",
-        "stats = thread.stats",
-        "arch_inv = thread.arch_inv",
-        "int_front, fp_front = thread.rename.front",
+        ("thread.stats", "stats"),
+        ("thread.arch_inv", "arch_inv"),
+        ("thread.rename", "rename"),
+        ("rename.front", "fronts"),
+        ("fronts[0]", "int_front"),
+        ("fronts[1]", "fp_front"),
+    ),
+    # A thread's address-space constants, read per memory access.
+    "SMTPipeline._fetch_thread": (
+        ("thread.data_base", "data_base"),
+        ("thread._pass_stride", "pass_stride"),
+        ("thread.data_region", "data_region"),
     ),
 }
 
@@ -241,9 +323,6 @@ _FU_FOLD = "fold OP_FU_BY_CODE[inst.op] to the queue kind"
 #: (``is_store``) is False when no load (store) op code dispatches to
 #: that queue, so the INT and FP queues keep only the ALU path.
 _QUEUE_FLAGS = {"is_load": IS_LOAD_BY_CODE, "is_store": IS_STORE_BY_CODE}
-
-_METHOD_NAMES = {qual.split(".")[1]: qual
-                 for pair in _INLINE for qual in pair}
 
 #: Every site count a derivation checks: (function, op) -> sites, where
 #: an op is an inlined callee, an unrolled loop or the FU fold.
@@ -261,6 +340,10 @@ _FRAME_NAMES = frozenset((
 _BUILTINS = frozenset(dir(builtins))
 _WORD = re.compile(r"[A-Za-z_]\w*")
 _JUMPS = (ast.Break, ast.Continue)
+#: Node types of an expression that only reads (no call, no store).
+_READS = {ast.Name, ast.Constant, ast.Attribute, ast.Subscript, ast.BinOp,
+          ast.Load, ast.Add, ast.Sub, ast.Mult, ast.Mod, ast.BitAnd,
+          ast.RShift}
 
 
 def _substitutions(key: KernelKey) -> Dict[str, object]:
@@ -311,7 +394,6 @@ def _substitutions(key: KernelKey) -> Dict[str, object]:
         "pipeline._policy_on_cycle": "policy_on_cycle",
         "pipeline._fold": "fold",
         "pipeline._drain_folds": "drain_folds",
-        "pipeline._release_preg": "release_preg",
         "pipeline._resolve_misprediction": "resolve_misprediction",
         "pipeline._on_l2_detected": "on_l2_detected",
         "pipeline._enter_runahead": "enter_runahead",
@@ -340,15 +422,23 @@ _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _OUTDENT = re.compile(r"\n(?= {0,4}\S)")
 
 
-def _kernel_namespace() -> Dict[str, object]:
+def _kernel_namespace() -> Tuple[Dict[str, object], frozenset]:
     """The globals a derived kernel reads: those of the modules its
     source comes from (enum members compare by identity), plus the
-    allocator of in-place construction."""
-    from . import dyninst, issue_queue, pipeline, thread
+    allocator of in-place construction; and the names two of those
+    modules bind to different objects, which derived code may not
+    read."""
+    from . import dyninst, issue_queue, pipeline, regfile, rename, rob, \
+        thread
     namespace: Dict[str, object] = {"_new": object.__new__}
-    for module in (dyninst, thread, issue_queue, pipeline):
-        namespace.update(vars(module))
-    return namespace
+    conflicts = set()
+    for module in (dyninst, thread, issue_queue, rob, regfile, rename,
+                   pipeline):
+        for name, value in vars(module).items():
+            if namespace.get(name, value) is not value:
+                conflicts.add(name)
+            namespace[name] = value
+    return namespace, frozenset(conflicts)
 
 
 # --------------------------------------------------------------- AST helpers
@@ -413,6 +503,20 @@ def _fields(node):
     return fields
 
 
+def _spelling(node) -> Optional[str]:
+    """``name``, ``name.attr...`` or ``name[int]`` chains as text."""
+    kind = type(node)
+    if kind is ast.Name:
+        return node.id
+    if kind is ast.Attribute:
+        base = _spelling(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    if kind is ast.Subscript and type(node.slice) is ast.Constant:
+        base = _spelling(node.value)
+        return None if base is None else f"{base}[{node.slice.value}]"
+    return None
+
+
 def _jumps(code) -> bool:
     """Does this handled exit end in a jump (``break``/``continue``)?"""
     return bool(code) and (type(code[-1]) in _JUMPS
@@ -437,8 +541,8 @@ def _exits(stmts, node_type, out) -> None:
 # --------------------------------------------------------------- derivation
 
 class _Scope:
-    """One function instance being spliced: its name bindings, aliases of
-    inlinable helpers, site counts and pending caller-owned code.
+    """One function instance being spliced: its name bindings, site
+    counts and pending caller-owned code.
 
     Inlining is hygienic: a name the helper assigns that also occurs in
     a function it is spliced into (``protect``) is renamed
@@ -446,15 +550,14 @@ class _Scope:
     site and the site's result variable (``keep``).
     """
 
-    __slots__ = ("qualname", "subst", "aliases", "counts", "placeholders",
+    __slots__ = ("qualname", "subst", "counts", "placeholders",
                  "queue_kind", "protect", "keep", "renamed", "early")
 
-    def __init__(self, qualname, subst, counts=None, aliases=None,
+    def __init__(self, qualname, subst, counts=None,
                  queue_kind=None, protect=frozenset(), keep=()):
         self.qualname = qualname
         self.subst = subst
         self.counts = {} if counts is None else counts
-        self.aliases = {} if aliases is None else aliases
         self.placeholders = {}
         self.queue_kind = queue_kind
         self.protect = protect
@@ -475,7 +578,7 @@ class _Deriver:
             except OSError as exc:
                 raise DerivationError(f"cannot read {relpath}: {exc}") \
                     from exc
-        self.namespace = _kernel_namespace()
+        self.namespace, self.conflicts = _kernel_namespace()
         self.substitutions = _substitutions(key)
         self.hoists = {spelling: local for spelling, local
                        in self.substitutions.items() if type(local) is str}
@@ -485,19 +588,25 @@ class _Deriver:
                       for spelling in self.substitutions}
         self.bases.add("inst")
         self.ints = {name for name, value in self.namespace.items()
-                     if type(value) is int}
+                     if type(value) is int and name not in self.conflicts}
         self.loads: Dict[str, int] = {}
         self.stores = set()
         self.hoist_locals = frozenset(self.hoists.values())
+        self.sources: Dict[str, str] = {}
         self.word_sets: Dict[str, frozenset] = {}
+        #: Names a hoisting loop may not assign (its hoists' bases and
+        #: locals).
+        self.loop_fixed = set()
         self.stage = ""
         self.serial = 0
 
     # -- errors and source
 
-    def fail(self, op: str, qualname: str, problem: str):
+    def fail(self, op: str, qualname: str, problem: str, node=None):
+        """Raise a :class:`DerivationError` at ``qualname``'s ``def``
+        line, or at ``node``'s line of that method."""
         relpath, text, start = self.locate(qualname)
-        line = text.count("\n", 0, start) + 1
+        line = text.count("\n", 0, start) + getattr(node, "lineno", 1)
         raise DerivationError(f"{op}: {problem} (stage {self.stage}, "
                               f"{relpath}:{line} {qualname})")
 
@@ -515,9 +624,13 @@ class _Deriver:
 
     def source(self, qualname: str) -> str:
         """A method's source, four-space indented (its class body)."""
-        _relpath, text, start = self.locate(qualname)
-        end = _OUTDENT.search(text, start)
-        return text[start:len(text) if end is None else end.start()].rstrip()
+        text = self.sources.get(qualname)
+        if text is None:
+            _relpath, module, start = self.locate(qualname)
+            end = _OUTDENT.search(module, start)
+            text = self.sources[qualname] = module[
+                start:len(module) if end is None else end.start()].rstrip()
+        return text
 
     def words(self, qualname: str) -> frozenset:
         """Every identifier in a function's source (a superset of its
@@ -548,8 +661,10 @@ class _Deriver:
             subst = scope.subst
             if subst and name in subst:
                 bound = subst[name]
-                if type(bound) is not str:
+                if type(bound) is ast.Constant:
                     return _at(ast.Constant(bound.value), node)
+                if type(bound) is not str:   # a receiver or argument read
+                    return self.bound(bound)
                 node.id = name = bound
             elif name in scope.renamed:
                 node.id = name = scope.renamed[name]
@@ -574,6 +689,9 @@ class _Deriver:
         if kind is ast.Constant:
             return node
         if kind is ast.Call:
+            site = self.site(node, scope, value_flow=True)
+            if site is not None:
+                return self.inline(site, scope, ("value",), node)
             node.func = self.expr(node.func, scope)
             node.args = [self.expr(arg, scope) for arg in node.args]
             for keyword in node.keywords:
@@ -584,6 +702,10 @@ class _Deriver:
     def store(self, node, scope):
         """A name the derived code assigns (hygienic renaming)."""
         name = node.id
+        if name in self.loop_fixed:
+            self.fail("hoist out of the loop", scope.qualname,
+                      f"the loop assigns {name!r}, so the hoist is not "
+                      "loop-invariant", node)
         if scope.subst.get(name, name) != name:
             self.fail(f"inline {scope.qualname}", scope.qualname,
                       f"assigns parameter {name!r} bound to a caller "
@@ -666,6 +788,25 @@ class _Deriver:
                 setattr(node, field, self.expr(value, scope))
         return node
 
+    def bound(self, expr):
+        """A fresh copy of a derived expression bound to a name (each
+        copy counts its reads)."""
+        copy = _clone(expr)
+        loads = self.loads
+        for child in ast.walk(copy):
+            if type(child) is ast.Name:
+                loads[child.id] = loads.get(child.id, 0) + 1
+        return copy
+
+    def unload(self, expr):
+        """A derived expression to bind, not emit: only its copies
+        (:meth:`bound`) count as reads."""
+        loads = self.loads
+        for child in ast.walk(expr):
+            if type(child) is ast.Name:
+                loads[child.id] -= 1
+        return expr
+
     def spelled(self, node, spelling: str, base: ast.Name, scope):
         """A hoisted local or key literal for ``spelling``, if declared."""
         value = self.substitutions.get(spelling, self)
@@ -739,21 +880,20 @@ class _Deriver:
             value = stmt.value
             target = stmt.targets[0] if len(stmt.targets) == 1 else None
             if type(target) is ast.Name:
-                if type(value) is ast.Attribute and \
-                        type(value.value) is ast.Name and \
-                        value.value.id == "self" and \
-                        (scope.qualname, _METHOD_NAMES.get(value.attr)) \
-                        in _INLINE:
-                    scope.aliases[target.id] = value.attr
-                    return []
                 site = self.site(value, scope)
                 if site is not None:
-                    return self.inline(site, scope, ("assign", target.id),
+                    return self.inline(site, scope, ("assign", target),
                                        stmt)
                 if type(value) is ast.Call and type(value.func) is ast.Name \
                         and (scope.qualname, f"{value.func.id}.__init__") \
                         in _INLINE:
                     return self.construct(target, value, scope, stmt)
+            elif type(target) is ast.Attribute:
+                site = self.site(value, scope)
+                if site is not None:
+                    return self.inline(site, scope, (
+                        "assign", self.unload(self.expr(target, scope))),
+                        stmt)
             value = stmt.value = self.expr(value, scope)
             if type(target) is ast.Name and type(value) is ast.Name \
                     and value.id == target.id:
@@ -793,6 +933,9 @@ class _Deriver:
             stmt.orelse = self.stmts(stmt.orelse, scope)
             return [stmt]
         if kind is ast.While:
+            hoists = _LOOP_HOISTS.get(scope.qualname)
+            if hoists:
+                return self.hoisted_loop(stmt, scope, hoists)
             stmt.test = self.expr(stmt.test, scope)
             stmt.body = self.block(stmt.body, scope, stmt)
             stmt.orelse = self.stmts(stmt.orelse, scope)
@@ -807,40 +950,61 @@ class _Deriver:
 
     # -- inlining
 
-    def site(self, value, scope):
-        """(callee qualname, receiver, args) if ``value`` calls a helper
-        this caller inlines."""
-        if type(value) is not ast.Call:
+    def site(self, value, scope, value_flow=False):
+        """(callee qualname, receiver, call) if ``value`` calls a helper
+        this caller inlines with (``value_flow``) or without a ``value``
+        flow.  The callee is the receiver's declared class's method."""
+        if type(value) is not ast.Call or type(value.func) is not ast.Attribute:
             return None
-        func = value.func
-        if type(func) is ast.Name and func.id in scope.aliases:
-            attr, receiver = scope.aliases[func.id], "self"
-        elif type(func) is ast.Attribute and type(func.value) is ast.Name:
-            attr, receiver = func.attr, func.value.id
+        attr, receiver = value.func.attr, _spelling(value.func.value)
+        if receiver is None or \
+                attr not in _CALLEE_NAMES.get(scope.qualname, ()):
+            return None
+        if receiver == "self":
+            callee = f"{scope.qualname.split('.')[0]}.{attr}"
+        elif receiver in _RECEIVERS:
+            callee = f"{_RECEIVERS[receiver]}.{attr}"
         else:
-            return None
-        callee = _METHOD_NAMES.get(attr)
-        if (scope.qualname, callee) not in _INLINE:
-            return None
-        if (receiver == "self") != callee.startswith("SMTPipeline."):
+            callee = sorted(c for (caller, c) in _INLINE
+                            if caller == scope.qualname
+                            and c.endswith(f".{attr}"))[0]
+            self.fail(f"inline {callee} into {scope.qualname}",
+                      scope.qualname, f"call on undeclared receiver "
+                      f"{receiver!r}", value)
+        declared = _INLINE.get((scope.qualname, callee))
+        if declared is None or (declared[0] == "value") != value_flow:
             return None
         return callee, receiver, value
 
-    def inline(self, site, scope, form, ref, lead=()) -> List[ast.stmt]:
+    def inline(self, site, scope, form, ref, lead=()):
         """The callee's body for one call site (``lead`` runs once the
-        arguments are bound)."""
+        arguments are bound), or for a ``value`` flow its returned
+        expression."""
         callee, receiver, call = site
         op = f"inline {callee} into {scope.qualname}"
         scope.counts[callee] = scope.counts.get(callee, 0) + 1
         function = self.parse(callee)
+        body = function.body
+        value = _INLINE[(scope.qualname, callee)][0] == "value"
+        if value and (len(body) != 1 or type(body[0]) is not ast.Return
+                      or body[0].value is None):
+            self.fail(op, callee, "a `value` helper must be one "
+                      "`return <expression>`")
         params = [arg.arg for arg in function.args.args]
         if call.keywords or len(call.args) != len(params) - 1:
             self.fail(op, scope.qualname, "call does not bind every "
-                      "parameter positionally")
+                      "parameter positionally", call)
         protect = scope.protect | self.words(scope.qualname)
-        inner = _Scope(callee, {}, protect=protect,
-                       keep=form[1:2] if form[0] == "assign" else ())
-        if receiver != "self":
+        inner = _Scope(callee, {}, protect=protect)
+        if form[0] == "assign" and type(form[1]) is ast.Name:
+            inner.keep.add(form[1].id)
+        if receiver == "self":
+            if "self" in scope.subst:       # a helper calling its own class
+                inner.subst["self"] = scope.subst["self"]
+        elif "." in receiver:
+            inner.subst["self"] = self.unload(self.expr(call.func.value,
+                                                        scope))
+        else:
             inner.subst["self"] = scope.renamed.get(
                 receiver, scope.subst.get(receiver, receiver))
         prelude = []
@@ -850,11 +1014,22 @@ class _Deriver:
                 inner.keep.add(param)
             elif type(arg) in (ast.Name, ast.Constant):
                 inner.subst[param] = arg.id if type(arg) is ast.Name else arg
+            elif value:
+                # A pure read the body uses once moves to that use.
+                if any(type(node) not in _READS for node in ast.walk(arg)) \
+                        or [node.id for node in ast.walk(body[0])
+                            if type(node) is ast.Name].count(param) != 1:
+                    self.fail(op, scope.qualname, f"argument {param!r} is "
+                              "not a name, a literal or a pure read the "
+                              "body uses once", call)
+                inner.subst[param] = self.unload(arg)
             else:
                 target = self.expr(_at(ast.Name(param, ast.Store()), arg),
                                    inner)
                 prelude.append(_at(ast.Assign([target], arg), arg))
-        body = self.lower(function.body, _INLINE[(scope.qualname, callee)][0],
+        if value:
+            return self.expr(body[0].value, inner)
+        body = self.lower(body, _INLINE[(scope.qualname, callee)][0],
                           ast.Return, op, callee, form, inner)
         body = prelude + list(lead) + self.stmts(body, inner)
         self.check_counts(callee, inner.counts)
@@ -896,16 +1071,24 @@ class _Deriver:
             kind = form[0]
             value = getattr(node, "value", None)
             if kind == "expr" or node_type is ast.Continue:
-                if value is not None and not (
-                        type(value) is ast.Constant and value.value is None):
-                    self.fail(op, qualname, "a statement call site "
-                              "drops a returned value")
-                return []
-            if kind == "assign":
-                if type(value) is ast.Name and value.id == form[1]:
+                # A statement site drops the returned value, but still
+                # evaluates one with effects (``return queue.pop()``).
+                if value is None or type(value) in (ast.Constant,
+                                                    ast.Name):
                     return []
-                return [_at(ast.Assign(
-                    [_at(ast.Name(form[1], ast.Store()), node)], value), node)]
+                return [_at(ast.Expr(value), node)]
+            if kind == "assign":
+                target = form[1]
+                if type(target) is ast.Name:
+                    if type(value) is ast.Name and value.id == target.id:
+                        return []
+                    return [_at(ast.Assign(
+                        [_at(ast.Name(target.id, ast.Store()), node)],
+                        value), node)]
+                # An attribute target was derived in the caller's scope.
+                return [self.placeholder(scope, node, lambda inner: [_at(
+                    ast.Assign([self.bound(target)],
+                               self.expr(value, inner)), node)])]
             if kind == "ifnot":
                 if type(value) is not ast.Constant or \
                         type(value.value) is not bool:
@@ -1014,70 +1197,58 @@ class _Deriver:
                               scope)
             binding = value if type(value) is str else ast.Constant(value)
             copy = _Scope(scope.qualname, dict(scope.subst, **{var: binding}),
-                          scope.counts, scope.aliases,
+                          scope.counts,
                           value if type(value) is int else None)
             out.extend(self.stmts(body, copy))
         scope.counts[f"unroll {var}"] = \
             scope.counts.get(f"unroll {var}", 0) + 1
         return out
 
-    def hoist_out_of_loop(self, qualname: str, body):
-        """Apply the declared loop-invariant hoists of ``qualname``."""
-        wanted = _LOOP_HOISTS.get(qualname)
-        if not wanted:
-            return body
-        found: Dict[str, int] = {}
-
-        def collect(stmts, into):
-            kept = []
-            for stmt in stmts:
-                text = ast.unparse(stmt) if type(stmt) is ast.Assign and \
-                    type(stmt.value) is ast.Attribute else None
-                if text in wanted:
-                    found[text] = found.get(text, 0) + 1
-                    into.append(stmt)
-                    continue
-                for field in ("body", "orelse"):
-                    block = getattr(stmt, field, None)
-                    if block:
-                        setattr(stmt, field, collect(block, into) or
-                                [_at(ast.Pass(), stmt)])
-                kept.append(stmt)
-            return kept
-
-        def walk(stmts):
-            out = []
-            for stmt in stmts:
-                if type(stmt) is ast.While:
-                    hoisted: List[ast.stmt] = []
-                    stmt.body = collect(stmt.body, hoisted) or \
-                        [_at(ast.Pass(), stmt)]
-                    if hoisted:
-                        stmt = _at(ast.If(_clone(stmt.test),
-                                          hoisted + [stmt], []), stmt)
-                elif type(stmt) in (ast.For, ast.If):
-                    stmt.body = walk(stmt.body)
-                    stmt.orelse = walk(stmt.orelse)
-                out.append(stmt)
-            return out
-
-        body = walk(body)
-        for text in wanted:
-            if found.get(text, 0) != 1:
-                self.fail(f"hoist {text!r} out of the loop", qualname,
-                          f"matched {found.get(text, 0)} sites, declared 1")
-        return body
+    def hoisted_loop(self, loop, scope, hoists) -> List[ast.stmt]:
+        """A ``while`` loop whose declared invariant reads are locals
+        bound once before it (under the loop's test)."""
+        op = f"hoist out of the loop in {scope.qualname}"
+        loop.test = self.expr(loop.test, scope)
+        table = self.substitutions
+        fixed = self.loop_fixed
+        before = {}
+        for spelling, local in hoists:
+            before[local] = self.loads.get(local, 0)
+            table[spelling] = local
+            self.bases.add(spelling.split(".")[0].split("[")[0])
+            fixed.add(spelling.split(".")[0].split("[")[0])
+            fixed.add(local)
+        loop.body = self.block(loop.body, scope, loop)
+        loop.orelse = self.stmts(loop.orelse, scope)
+        for spelling, _local in hoists:
+            del table[spelling]
+        fixed.clear()
+        matched = {local for local, count in before.items()
+                   if self.loads.get(local, 0) > count}
+        for spelling, local in reversed(hoists):
+            if local in matched:    # its base matched a read too
+                matched.add(spelling.split(".")[0].split("[")[0])
+        for spelling, local in hoists:
+            if local not in matched:
+                self.fail(op, scope.qualname, f"{spelling!r} matched 0 "
+                          "sites")
+        self.stores.update(matched)
+        bindings = ast.parse("\n".join(f"{local} = {spelling}" for
+                                       spelling, local in hoists)).body
+        return [_at(ast.If(_clone(loop.test),
+                           [_at(binding, loop) for binding in bindings]
+                           + [loop], []), loop)]
 
     def check_counts(self, function: str, counts: Dict[str, int]) -> None:
         """Every declared op of ``function`` matched its site count."""
         for (owner, op), sites in _SITES.items():
             if owner != function:
                 continue
-            if sites == _RA:
-                sites = 1 if self.key.uses_runahead else 0
+            if type(sites) is tuple:
+                sites = sites[self.key.uses_runahead]
             found = counts.get(op, 0)
             if found != sites:
-                label = (f"inline {op} into" if op in _METHOD_NAMES.values()
+                label = (f"inline {op} into" if (function, op) in _INLINE
                          else f"{op} in")
                 self.fail(f"{label} {function}", function,
                           f"matched {found} sites, declared {sites}")
@@ -1094,8 +1265,7 @@ class _Deriver:
             body = self.lower(function.body, flow, ast.Return,
                               f"stage {qualname}", qualname, ("expr",),
                               scope)
-            stages[f"__{placeholder}__"] = self.hoist_out_of_loop(
-                qualname, self.stmts(body, scope))
+            stages[f"__{placeholder}__"] = self.stmts(body, scope)
             self.check_counts(qualname, scope.counts)
         self.stage = "frame"
         nt = key.num_threads
@@ -1123,7 +1293,8 @@ class _Deriver:
             if count > 0 and name not in self.stores
             and name not in locals_ and name not in _FRAME_NAMES
             and name not in _BUILTINS)
-        missing = [name for name in defaults if name not in self.namespace]
+        missing = [name for name in defaults if name not in self.namespace
+                   or name in self.conflicts]
         if missing:
             raise DerivationError(f"derived code reads unbound names "
                                   f"{missing} (stage frame)")
@@ -1211,7 +1382,7 @@ def kernel_source(key: KernelKey, root: Optional[str] = None) -> str:
 
 def compile_kernel(key: KernelKey):
     """Derive and compile the run loop for ``key`` (this package)."""
-    namespace = _kernel_namespace()
+    namespace = _kernel_namespace()[0]
     code = compile(derive_kernel(key), f"<kernel {tuple(key)}>", "exec")
     exec(code, namespace)
     return namespace["_kernel_run"]

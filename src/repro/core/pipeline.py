@@ -27,8 +27,6 @@ from ..isa import (
     OP_LATENCY_BY_CODE,
     OP_QUEUE_BY_CODE,
     OpClass,
-    RegClass,
-    reg_class,
 )
 from ..mem import MemoryHierarchy
 from ..trace.trace import Trace
@@ -36,7 +34,7 @@ from .dyninst import DynInst, InstState
 from .fu import FUPool
 from .hookspec import horizon_covers_on_cycle
 from .issue_queue import IssueQueue, MEMORY_WAIT
-from .regfile import NEVER as _NEVER, PhysRegFile
+from .regfile import PhysRegFile
 from .rename import RenameState
 from .rob import SharedROB
 from .runahead import RunaheadController
@@ -195,12 +193,7 @@ class SMTPipeline:
     def step(self) -> None:
         """Advance the machine by one cycle."""
         now = self.cycle
-        fus = self.fus                      # inlined new_cycle
-        available = fus._available
-        capacity = fus._capacity
-        available[0] = capacity[0]
-        available[1] = capacity[1]
-        available[2] = capacity[2]
+        self.fus.new_cycle()
         self._process_events(now)
         if self._policy_on_cycle is not None:
             self._policy_on_cycle(now)
@@ -362,28 +355,26 @@ class SMTPipeline:
     def _dispatch_blocked(self, thread: ThreadContext) -> bool:
         """Would the thread's next dispatch fail for an event-stable reason?
 
-        Mirrors :meth:`_dispatch`'s failure paths.  Each blocking
-        resource (ROB entries, issue-queue entries, rename registers)
-        can only be released by a completion event, a runahead exit, or
-        a policy wakeup — all of which clamp the skip target — so a
-        blocked verdict holds for the whole skipped window.
+        Tests :meth:`_dispatch`'s stall conditions through the same
+        helpers.  Each blocking resource (ROB entries, issue-queue
+        entries, rename registers) can only be released by a completion
+        event, a runahead exit, or a policy wakeup — all of which clamp
+        the skip target — so a blocked verdict holds for the whole
+        skipped window.
         """
         if self.rob.is_full():
             return True
         inst = thread.fetch_queue[0]
         op = inst.op
-        if thread.in_runahead and (
-                (self.runahead.fp_invalidation and IS_FP_BY_CODE[op])
-                or op == _SYNC_CODE):
+        if self._drops_at_decode(thread, op):
             return False   # decode-drop needs only a ROB slot: would proceed
         if self.queues[OP_QUEUE_BY_CODE[op]].is_full():
             return True
-        if inst.dest_arch != NO_REG:
-            file = self.int_file \
-                if reg_class(inst.dest_arch) == RegClass.INT else self.fp_file
-            if file.free_count == 0:
-                return True
-        return False
+        dest_arch = inst.dest_arch
+        if dest_arch == NO_REG:
+            return False
+        file = self.int_file if dest_arch < _NINT else self.fp_file
+        return file.is_full()
 
     def _skip_to(self, start: int, target: int) -> None:
         """Jump from ``start`` to ``target``, bulk-accounting the idle
@@ -447,39 +438,13 @@ class SMTPipeline:
             heappop(heap)
         if not bucket:
             return
-        threads = self.threads
-        int_file = self.int_file
-        fp_file = self.fp_file
-        src_ready = self._src_ready
         for kind, inst in bucket:
             state = inst.state
             if state == _SQUASHED or state == _RETIRED:
                 continue
             if kind == _EV_COMPLETE:
                 if state == _ISSUED:
-                    # Inlined _complete (the per-completion hot path).
-                    inst.state = _COMPLETED
-                    thread = threads[inst.tid]
-                    if inst.l2_counted:
-                        inst.l2_counted = False
-                        thread.pending_l2_misses -= 1
-                    preg = inst.pdest
-                    if preg != NO_REG:
-                        invalid = inst.invalid
-                        file = (int_file if inst.dest_arch < _NINT
-                                else fp_file)
-                        file.ready[preg] = now       # inlined set_ready
-                        file.inv[preg] = invalid
-                        woken = file.waiters[preg]
-                        if woken:
-                            file.waiters[preg] = []
-                            for waiter in woken:
-                                src_ready(waiter, now, preg, invalid)
-                        if invalid and thread.mode is _RUNAHEAD:
-                            self._recycle_runahead_dest(thread, inst)
-                    if (inst.is_branch and not inst.invalid
-                            and inst.mispredicted):
-                        self._resolve_misprediction(inst, now)
+                    self._complete(inst, now)
             elif kind == _EV_L2_DETECT:
                 if state < _RETIRED:
                     self._on_l2_detected(inst, now)
@@ -487,8 +452,9 @@ class SMTPipeline:
             self._drain_folds(now)
 
     def _complete(self, inst: DynInst, now: int) -> None:
-        # Readable form; _process_events carries an inlined mirror of
-        # this body for the per-completion hot path.
+        """An issued instruction produces its result, valid or INV: its
+        consumers wake, an INV runahead destination is recycled at once
+        (§3.3), and a mispredicted branch redirects fetch."""
         inst.state = _COMPLETED
         thread = self.threads[inst.tid]
         if inst.l2_counted:
@@ -498,13 +464,8 @@ class SMTPipeline:
         if preg != NO_REG:
             invalid = inst.invalid
             file = self.int_file if inst.dest_arch < _NINT else self.fp_file
-            file.ready[preg] = now               # inlined set_ready
-            file.inv[preg] = invalid
-            woken = file.waiters[preg]
-            if woken:
-                file.waiters[preg] = []
-                for waiter in woken:
-                    self._src_ready(waiter, now, preg, invalid)
+            for waiter in file.set_ready(preg, now, invalid):
+                self._src_ready(waiter, now, preg, invalid)
             if invalid and thread.mode is _RUNAHEAD:
                 self._recycle_runahead_dest(thread, inst)
         if inst.is_branch and not inst.invalid and inst.mispredicted:
@@ -536,37 +497,33 @@ class SMTPipeline:
         inst.pending_srcs = pending
         if pending > 0:
             return
-        # Fold test: does any operand needed for execution carry INV?
         # Validity was latched into src_inv_mask when each operand became
         # known (dispatch for already-ready sources, wakeup for the rest).
-        # Stores fold only on an invalid *address* (src1); invalid store
-        # data merely marks the forwarded value invalid (§3.3, runahead
-        # cache discussion).
-        mask = inst.src_inv_mask
-        if (mask & 1) if inst.is_store else mask:
+        if self._folds(inst):
             self._fold_worklist.append(inst)
         else:
             inst.state = _READY
-            self.queues[OP_QUEUE_BY_CODE[inst.op]]._ready.append(inst)
+            queue = self.queues[OP_QUEUE_BY_CODE[inst.op]]
+            queue.mark_ready(inst)
+
+    def _folds(self, inst: DynInst) -> bool:
+        """Does an operand the instruction executes on carry INV?  Stores
+        fold only on an invalid *address* (src1); invalid store data
+        merely marks the forwarded value invalid (§3.3, runahead cache
+        discussion)."""
+        return (inst.src_inv_mask & 1 if inst.is_store
+                else inst.src_inv_mask)
 
     def _fold(self, inst: DynInst, now: int) -> None:
         """Squash-free cancellation: complete instantly with an INV result."""
         self.queues[OP_QUEUE_BY_CODE[inst.op]].remove(inst)
         self._uncount(inst)
         inst.invalid = True
-        inst.state = _COMPLETED
         inst.complete_cycle = now
-        thread = self.threads[inst.tid]
         # Folded instructions never execute (paper §3.1), so they are kept
         # out of the executed-instruction energy proxy.
-        thread.stats.folded += 1
-        if inst.pdest != NO_REG:
-            file = self.int_file if inst.dest_arch < _NINT else self.fp_file
-            woken = file.set_ready(inst.pdest, now, invalid=True)
-            for waiter in woken:
-                self._src_ready(waiter, now, inst.pdest, True)
-            if thread.mode is _RUNAHEAD:
-                self._recycle_runahead_dest(thread, inst)
+        self.threads[inst.tid].stats.folded += 1
+        self._complete(inst, now)
 
     def _drain_folds(self, now: int) -> None:
         while self._fold_worklist:
@@ -585,8 +542,9 @@ class SMTPipeline:
     def _commit_stage(self, now: int) -> None:
         budget = self._width
         for thread in self._rotations[now % self.num_threads]:
-            if (thread.mode is _RUNAHEAD            # inlined should_exit
+            if (thread.mode is _RUNAHEAD
                     and now >= thread.runahead_trigger_ready):
+                # The triggering miss has resolved (§3.1).
                 self.runahead.exit(thread, now)
                 continue
             budget = self._commit_thread(thread, now, budget)
@@ -597,14 +555,12 @@ class SMTPipeline:
                        budget: int) -> int:
         tid = thread.tid
         rob = self.rob
-        window = rob._queues[tid]   # peek; pops inlined below
+        window = rob._queues[tid]   # read-only peek at the head
         if not window:
             return budget
         stats = thread.stats
         # The mode is stable across the loop: runahead entry breaks out,
-        # runahead exit happens in _commit_stage — so the normal and
-        # runahead commit loops can be specialized separately with the
-        # per-instruction helpers inlined (the per-inst hot path).
+        # runahead exit happens in _commit_stage.
         if thread.mode is _NORMAL:
             last_index = thread.last_index
             rename = thread.rename
@@ -612,8 +568,7 @@ class SMTPipeline:
             while budget > 0 and window:
                 head = window[0]
                 if head.state == _COMPLETED:
-                    window.popleft()        # inlined _commit / pop_head
-                    rob._occupancy -= 1
+                    rob.pop_head(tid)
                     head.state = _RETIRED
                     stats.committed += 1
                     gstats.committed += 1
@@ -644,15 +599,15 @@ class SMTPipeline:
                 else:
                     break
             return budget
+        # Pseudo-retirement (§3.1): no architectural update; superseded
+        # mappings die, except the pinned checkpoint.
         int_file = self.int_file
         fp_file = self.fp_file
-        recycle = self._recycle_runahead_dest
         while budget > 0 and window:
             head = window[0]
             if head.state != _COMPLETED:
                 break
-            window.popleft()        # inlined _pseudo_retire / pop_head
-            rob._occupancy -= 1
+            rob.pop_head(tid)
             head.state = _RETIRED
             stats.pseudo_retired += 1
             # Forward progress, albeit speculative.
@@ -667,16 +622,9 @@ class SMTPipeline:
                 klass, file = 1, fp_file
             old = head.old_pdest
             if old != NO_REG and not file.pinned[old]:
-                # Inlined _release_preg (pinned pre-checked just above).
-                if not file._allocated[old]:
-                    raise SimulationError(
-                        f"{file.name}: double release of p{old}")
-                file._allocated[old] = False
-                file.waiters[old].clear()
-                file._free.append(old)
-                thread.regs_held[klass] -= 1
+                self._release_preg(thread, klass, old)
             if head.pdest != NO_REG:   # prefilter: recycle's early-out
-                recycle(thread, head)
+                self._recycle_runahead_dest(thread, head)
         return budget
 
     def _enter_runahead(self, thread: ThreadContext, trigger: DynInst,
@@ -716,18 +664,7 @@ class SMTPipeline:
     def _release_preg(self, thread: ThreadContext, klass: int,
                       preg: int) -> None:
         file = self.int_file if klass == 0 else self.fp_file
-        # Inlined PhysRegFile.release (one call per retired destination);
-        # the conservation checks are kept — they are what the heavy
-        # invariant tests lean on.
-        if not file._allocated[preg]:
-            raise SimulationError(
-                f"{file.name}: double release of p{preg}")
-        if file.pinned[preg]:
-            raise SimulationError(
-                f"{file.name}: releasing pinned register p{preg}")
-        file._allocated[preg] = False
-        file.waiters[preg].clear()
-        file._free.append(preg)
+        file.release(preg)
         thread.regs_held[klass] -= 1
 
     def _recycle_runahead_dest(self, thread: ThreadContext,
@@ -756,15 +693,8 @@ class SMTPipeline:
         if front[arch_index] != preg:
             return
         front[arch_index] = thread.rename.arch[klass][arch_index]
-        # Inlined _release_preg (pinned pre-checked just above).
-        if not file._allocated[preg]:
-            raise SimulationError(
-                f"{file.name}: double release of p{preg}")
-        file._allocated[preg] = False
-        file.waiters[preg].clear()
-        file._free.append(preg)
-        thread.regs_held[klass] -= 1
-        thread.arch_inv[inst.dest_arch] = inst.invalid   # note_arch_invalid
+        self._release_preg(thread, klass, preg)
+        thread.note_arch_invalid(inst.dest_arch, inst.invalid)
         inst.pdest = NO_REG
 
     # --------------------------------------------------------------- issue
@@ -774,10 +704,6 @@ class SMTPipeline:
         # so the queue index doubles as the FU pool index.
         available = self.fus._available
         threads = self.threads
-        events = self._events
-        heap = self._event_heap
-        issue_load = self._issue_load
-        issue_store = self._issue_store
         for queue_kind in (2, 0, 1):     # LS first, then INT, FP
             queue = self.queues[queue_kind]
             if not queue._ready:
@@ -787,30 +713,24 @@ class SMTPipeline:
                 continue
             per_thread = queue.per_thread
             for inst in queue.take_ready(budget):
-                # Inlined _issue (the per-instruction issue hot path).
                 tid = inst.tid
                 thread = threads[tid]
                 if inst.is_load:
-                    if not issue_load(thread, inst, queue, now):
+                    if not self._issue_load(thread, inst, queue, now):
                         continue
                 elif inst.is_store:
-                    issue_store(thread, inst, now)
+                    self._issue_store(thread, inst, now)
                 else:
                     cycle = now + OP_LATENCY_BY_CODE[inst.op]
                     inst.complete_cycle = cycle
-                    bucket = events.get(cycle)   # inlined schedule()
-                    if bucket is None:
-                        events[cycle] = [(_EV_COMPLETE, inst)]
-                        heappush(heap, cycle)
-                    else:
-                        bucket.append((_EV_COMPLETE, inst))
-                # Inlined FUPool.acquire: the take_ready budget is the
-                # available unit count, so the pool can never be
-                # exhausted here.
+                    self.schedule(cycle, _EV_COMPLETE, inst)
+                # The take_ready budget is the pool's available unit
+                # count, so the unit is claimed without an exhaustion
+                # test.
                 available[OP_FU_BY_CODE[inst.op]] -= 1
-                # Inlined queue.remove and _uncount: a selected entry is
-                # READY, so it holds its queue entry and its ICOUNT slot,
-                # and take_ready already stripped replay deferral.
+                # A selected entry is READY: it holds its queue entry and
+                # its ICOUNT slot, and take_ready already stripped replay
+                # deferral, so both release without a state test.
                 queue.size -= 1
                 per_thread[tid] -= 1
                 thread.icount -= 1
@@ -851,13 +771,7 @@ class SMTPipeline:
             return False
         cycle = packed >> 2
         inst.complete_cycle = cycle
-        events = self._events                # inlined schedule()
-        bucket = events.get(cycle)
-        if bucket is None:
-            events[cycle] = [(_EV_COMPLETE, inst)]
-            heappush(self._event_heap, cycle)
-        else:
-            bucket.append((_EV_COMPLETE, inst))
+        self.schedule(cycle, _EV_COMPLETE, inst)
         if packed & 2:
             detect = min(cycle, now + self._l2_detect_latency)
             self.schedule(detect, _EV_L2_DETECT, inst)
@@ -870,46 +784,39 @@ class SMTPipeline:
         forwarded = self.runahead.load_forward_validity(thread, inst)
         if forwarded is not None:
             inst.invalid = not forwarded
-            inst.complete_cycle = now + self._dcache_latency
-            self.schedule(inst.complete_cycle, _EV_COMPLETE, inst)
-            return
-        if not self.runahead.prefetch:
+            cycle = now + self._dcache_latency
+        elif not self.runahead.prefetch:
             # Figure 4 ablation: no L2/memory traffic from runahead.
             level = self.mem.peek_data(inst.addr)
             if level == "l1":
-                inst.complete_cycle = now + self._dcache_latency
+                cycle = now + self._dcache_latency
             elif level == "l2":
-                inst.complete_cycle = now + self._l2_detect_latency
+                cycle = now + self._l2_detect_latency
             else:
                 inst.invalid = True
-                inst.complete_cycle = now + self._l2_detect_latency
+                cycle = now + self._l2_detect_latency
                 thread.no_retrigger.add(
                     inst.pass_no * thread.retrigger_stride
                     + inst.trace_index)
-            self.schedule(inst.complete_cycle, _EV_COMPLETE, inst)
-            return
-        packed = self.mem.data_access_packed(inst.addr, False, now,
-                                             thread.tid, speculative=True)
-        if packed < 0:
-            # Prefetch dropped (MSHRs full): bogus value, no retry.
-            inst.invalid = True
-            cycle = now + self._dcache_latency
-        elif packed & 2:
-            # Long-latency: invalidate the dest, keep the fill as prefetch.
-            inst.invalid = True
-            cycle = min(packed >> 2, now + self._l2_detect_latency)
-            if self.runahead.stop_fetch_on_l2_miss:
-                thread.gate_fetch_until(thread.runahead_trigger_ready)
         else:
-            cycle = packed >> 2
+            packed = self.mem.data_access_packed(inst.addr, False, now,
+                                                 thread.tid,
+                                                 speculative=True)
+            if packed < 0:
+                # Prefetch dropped (MSHRs full): bogus value, no retry.
+                inst.invalid = True
+                cycle = now + self._dcache_latency
+            elif packed & 2:
+                # Long-latency: invalidate the dest, keep the fill as a
+                # prefetch.
+                inst.invalid = True
+                cycle = min(packed >> 2, now + self._l2_detect_latency)
+                if self.runahead.stop_fetch_on_l2_miss:
+                    thread.gate_fetch_until(thread.runahead_trigger_ready)
+            else:
+                cycle = packed >> 2
         inst.complete_cycle = cycle
-        events = self._events                # inlined schedule()
-        bucket = events.get(cycle)
-        if bucket is None:
-            events[cycle] = [(_EV_COMPLETE, inst)]
-            heappush(self._event_heap, cycle)
-        else:
-            bucket.append((_EV_COMPLETE, inst))
+        self.schedule(cycle, _EV_COMPLETE, inst)
 
     # --------------------------------------------------------------- branch resolution
 
@@ -975,11 +882,10 @@ class SMTPipeline:
 
     def _dispatch_stage(self, now: int) -> None:
         budget = self._width
-        dispatch = self._dispatch
         for thread in self._rotations[now % self.num_threads]:
             fetch_queue = thread.fetch_queue
             while budget > 0 and fetch_queue:
-                if not dispatch(thread, fetch_queue[0], now):
+                if not self._dispatch(thread, fetch_queue[0], now):
                     break
                 fetch_queue.popleft()
                 budget -= 1
@@ -992,19 +898,14 @@ class SMTPipeline:
                   now: int) -> bool:
         """Rename and insert one instruction; False if resources lack."""
         rob = self.rob
-        if rob._occupancy >= rob.capacity:   # inlined is_full
+        if rob.is_full():
             return False
         op = inst.op
-        tid = thread.tid
         stats = thread.stats
-
-        if thread.mode is _RUNAHEAD and (
-                (self._ra_fp_inval and IS_FP_BY_CODE[op])
-                or op == _SYNC_CODE):
+        if self._drops_at_decode(thread, op):
             # §3.3: FP compute and synchronization ops in runahead use no
             # resources past decode — straight to pseudo-commit, INV.
-            rob._queues[tid].append(inst)   # inlined append
-            rob._occupancy += 1
+            rob.append(inst)
             self._uncount(inst)
             inst.state = _COMPLETED
             inst.invalid = True
@@ -1016,95 +917,81 @@ class SMTPipeline:
             return True
 
         queue = self.queues[OP_QUEUE_BY_CODE[op]]
-        if queue.size >= queue.capacity:   # inlined is_full
+        if queue.is_full():
             return False
         dest_arch = inst.dest_arch
         dest_file: Optional[PhysRegFile] = None
         if dest_arch != NO_REG:
             dest_file = self.int_file if dest_arch < _NINT else self.fp_file
-            if not dest_file._free:   # free_count == 0, sans property call
+            if dest_file.is_full():
                 return False
 
-        rob._queues[tid].append(inst)   # inlined append, checked above
-        rob._occupancy += 1
+        rob.append(inst)
         inst.state = _DISPATCHED
         stats.dispatched += 1
-
-        # Source renaming, inlined twice (this is the per-instruction
-        # dispatch hot path).  An operand whose producer's register was
-        # reclaimed early (INV recycling or FP decode drop) is INV at
-        # architectural level: nothing to wait for, no register to read.
-        pending = 0
-        arch_inv = thread.arch_inv
-        int_front, fp_front = thread.rename.front
-        arch = inst.src1_arch
-        if arch != NO_REG:
-            if arch_inv[arch]:
-                inst.src_inv_mask |= 1
-            else:
-                if arch < _NINT:
-                    file = self.int_file
-                    preg = int_front[arch]
-                else:
-                    file = self.fp_file
-                    preg = fp_front[arch - _NINT]
-                inst.psrc1 = preg
-                if file.ready[preg] <= now:
-                    if file.inv[preg]:
-                        inst.src_inv_mask |= 1
-                else:
-                    file.waiters[preg].append(inst)
-                    pending += 1
-        arch = inst.src2_arch
-        if arch != NO_REG:
-            if arch_inv[arch]:
-                inst.src_inv_mask |= 2
-            else:
-                if arch < _NINT:
-                    file = self.int_file
-                    preg = int_front[arch]
-                else:
-                    file = self.fp_file
-                    preg = fp_front[arch - _NINT]
-                inst.psrc2 = preg
-                if file.ready[preg] <= now:
-                    if file.inv[preg]:
-                        inst.src_inv_mask |= 2
-                else:
-                    file.waiters[preg].append(inst)
-                    pending += 1
-        inst.pending_srcs = pending
-
+        # Sources read the mappings from before the destination's rename.
+        inst.psrc1 = self._rename_src(thread, inst, inst.src1_arch, 1, now)
+        inst.psrc2 = self._rename_src(thread, inst, inst.src2_arch, 2, now)
         if dest_file is not None:
-            # Inlined PhysRegFile.alloc (the free list was checked above).
-            preg = dest_file._free.pop()
-            dest_file._allocated[preg] = True
-            dest_file.ready[preg] = _NEVER
+            preg = dest_file.alloc()
             if dest_arch < _NINT:
                 klass = 0
                 arch_index = dest_arch
-                fmap = int_front
             else:
                 klass = 1
                 arch_index = dest_arch - _NINT
-                fmap = fp_front
             inst.pdest = preg
-            inst.old_pdest = fmap[arch_index]    # inlined rename_dest
-            fmap[arch_index] = preg
+            inst.old_pdest = thread.rename.rename_dest(klass, arch_index,
+                                                       preg)
             thread.regs_held[klass] += 1
             # A renamed write supersedes any early-reclaimed INV producer.
-            arch_inv[dest_arch] = False
+            thread.note_arch_invalid(dest_arch, False)
 
-        queue.size += 1                      # inlined insert, checked above
-        queue.per_thread[tid] += 1
-        if pending == 0:
-            mask = inst.src_inv_mask         # the _src_ready fold test
-            if (mask & 1) if inst.is_store else mask:
+        queue.insert(inst)
+        if inst.pending_srcs == 0:
+            if self._folds(inst):
                 self._fold(inst, now)
             else:
                 inst.state = _READY
-                queue._ready.append(inst)    # inlined mark_ready
+                queue.mark_ready(inst)
         return True
+
+    def _drops_at_decode(self, thread: ThreadContext, op: int) -> bool:
+        """Is this op dropped at decode (§3.3)?  In runahead, FP compute
+        (when FP invalidation is on) and synchronization ops produce INV
+        without an issue-queue entry or a register."""
+        return thread.mode is _RUNAHEAD and (
+            (self._ra_fp_inval and IS_FP_BY_CODE[op]) or op == _SYNC_CODE)
+
+    def _rename_src(self, thread: ThreadContext, inst: DynInst, arch: int,
+                    bit: int, now: int) -> int:
+        """Rename one source operand: the physical register it reads, or
+        NO_REG if none.
+
+        An operand whose producer's register was reclaimed early (INV
+        recycling or the FP decode drop, §3.3) is INV at architectural
+        level: nothing to wait for, no register to read.  Otherwise its
+        validity is latched into ``src_inv_mask`` (as ``bit``) now if
+        the value is ready, or at wakeup (:meth:`_src_ready`).
+        """
+        if arch == NO_REG:
+            return NO_REG
+        if thread.arch_inv[arch]:
+            inst.src_inv_mask |= bit
+            return NO_REG
+        if arch < _NINT:
+            file = self.int_file
+            preg = thread.rename.lookup(0, arch)
+        else:
+            file = self.fp_file
+            preg = thread.rename.lookup(1, arch - _NINT)
+        if file.ready[preg] <= now:
+            if file.inv[preg]:
+                inst.src_inv_mask |= bit
+        else:
+            file.add_waiter(preg, inst)
+            inst.pending_srcs += 1
+        return preg
 
     # --------------------------------------------------------------- fetch
 
@@ -1121,8 +1008,7 @@ class SMTPipeline:
             if fetched_total >= width:
                 break
             thread = threads[tid]
-            if (now < thread.fetch_blocked_until     # inlined can_fetch
-                    or now < thread.fetch_gated_until):
+            if not thread.can_fetch(now):
                 continue
             taken = self._fetch_thread(thread, now, width - fetched_total)
             if taken > 0:
@@ -1143,12 +1029,11 @@ class SMTPipeline:
         icache_done = now + self._icache_latency
         stats = thread.stats
         gseq = self._gseq
-        # Trace columns and address math, hoisted for the inlined
-        # ThreadContext.next_inst below (this loop materializes every
-        # dynamic instruction in the simulation).  The mode is stable
-        # within a fetch block: runahead entry/exit happen at commit.
-        # ``pcs_off``/``fetch_lines`` carry the thread's code offset and
-        # the i-cache line index pre-folded (see __init__).
+        # Trace columns and address math, hoisted out of the loop that
+        # materializes every dynamic instruction in the simulation.  The
+        # mode is stable within a fetch block: runahead entry/exit happen
+        # at commit.  ``pcs_off``/``fetch_lines`` carry the thread's code
+        # offset and the i-cache line index pre-folded (see __init__).
         pcs_off = thread.pcs_off
         lines = thread.fetch_lines
         ops = thread.ops
@@ -1158,9 +1043,6 @@ class SMTPipeline:
         addrs = thread.addrs
         takens = thread.takens
         tid = thread.tid
-        data_base = thread.data_base
-        pass_stride = thread._pass_stride
-        data_region = thread.data_region
         trace_len = len(ops)
         in_runahead = thread.mode is _RUNAHEAD
         cursor = thread.cursor
@@ -1175,7 +1057,7 @@ class SMTPipeline:
                 if complete > icache_done:
                     thread.block_fetch_until(complete)
                     break
-            # Inlined thread.next_inst over the precomputed columns.
+            # The trace row at the cursor becomes a dynamic instruction.
             pc = pcs_off[cursor]
             pass_no = thread.pass_no
             inst = DynInst(
@@ -1186,8 +1068,7 @@ class SMTPipeline:
             )
             gseq += 1
             if inst.is_mem:
-                inst.addr = data_base + (
-                    (addrs[cursor] + pass_no * pass_stride) % data_region)
+                inst.addr = thread.physical_addr(addrs[cursor], pass_no)
             cursor += 1
             if cursor >= trace_len:
                 cursor = 0

@@ -176,10 +176,7 @@ class SMTProcessor:
                 span_needed = max(1, len(lines) // 4)
                 addrs = [addr for addr, line in zip(addrs, lines)
                          if last[line] - first[line] >= span_needed]
-            data_base = thread.data_base
-            data_region = thread.data_region
-            # physical_addr(addr, 0), inlined.
-            mem.warm_data([data_base + addr % data_region for addr in addrs])
+            mem.warm_data([thread.physical_addr(addr, 0) for addr in addrs])
             last_line = -1
             line_pcs = []
             branches = []

@@ -53,19 +53,17 @@ class PhysRegFile:
     # --- allocation --------------------------------------------------------
 
     @property
-    def free_count(self) -> int:
-        return len(self._free)
-
-    @property
     def allocated_count(self) -> int:
         return self.size - len(self._free)
 
+    def is_full(self) -> bool:
+        """Every register allocated: a rename stalls."""
+        return not self._free
+
     def alloc(self) -> int:
-        """Allocate a register; -1 if none are free."""
-        free = self._free
-        if not free:
-            return -1
-        preg = free.pop()
+        """Allocate a free register (renaming stalls on :meth:`is_full`
+        first)."""
+        preg = self._free.pop()
         self._allocated[preg] = True
         self.ready[preg] = NEVER
         return preg
@@ -104,15 +102,14 @@ class PhysRegFile:
 
     def set_ready(self, preg: int, cycle: int,
                   invalid: bool = False) -> List[DynInst]:
-        """Mark a register's value available; returns (and clears) waiters."""
+        """Mark a register's value available; returns (and clears) its
+        waiters.  An empty waiter list is returned as is, not replaced."""
         self.ready[preg] = cycle
         self.inv[preg] = invalid
         woken = self.waiters[preg]
-        self.waiters[preg] = []
+        if woken:
+            self.waiters[preg] = []
         return woken
-
-    def is_ready(self, preg: int, now: int) -> bool:
-        return self.ready[preg] <= now
 
     def add_waiter(self, preg: int, inst: DynInst) -> None:
         self.waiters[preg].append(inst)

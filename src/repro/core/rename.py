@@ -36,19 +36,16 @@ class RenameState:
             file = self._files[klass]
             regs = []
             for _ in range(count):
-                preg = file.alloc()
-                if preg < 0:
+                if file.is_full():
                     raise SimulationError(
                         f"register file too small to hold architectural "
                         f"state of thread {tid}")
+                preg = file.alloc()
                 # Architectural values exist from cycle 0.
                 file.set_ready(preg, 0)
                 regs.append(preg)
             self.front[klass] = list(regs)
             self.arch[klass] = list(regs)
-
-    def file(self, klass: int) -> PhysRegFile:
-        return self._files[klass]
 
     # --- front-end operations ------------------------------------------------
 
@@ -61,8 +58,9 @@ class RenameState:
         Returns the previous front-end mapping (the instruction's
         ``old_pdest``), which retirement or squash will dispose of.
         """
-        old = self.front[klass][arch_reg]
-        self.front[klass][arch_reg] = preg
+        front = self.front[klass]
+        old = front[arch_reg]
+        front[arch_reg] = preg
         return old
 
     def undo_rename(self, klass: int, arch_reg: int, old_preg: int) -> None:

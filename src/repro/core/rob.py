@@ -29,35 +29,19 @@ class SharedROB:
                                               for _ in range(num_threads)]
         self._occupancy = 0
 
-    @property
-    def occupancy(self) -> int:
-        return self._occupancy
-
-    @property
-    def free_entries(self) -> int:
-        return self.capacity - self._occupancy
-
     def is_full(self) -> bool:
         return self._occupancy >= self.capacity
 
     def append(self, inst: DynInst) -> None:
-        if self.is_full():
-            raise SimulationError("ROB overflow")
+        """Enter a dispatched instruction at its thread's window tail
+        (dispatch stalls on :meth:`is_full` first)."""
         self._queues[inst.tid].append(inst)
         self._occupancy += 1
 
-    def head(self, tid: int) -> DynInst:
-        """Oldest un-retired instruction of a thread (raises if empty)."""
-        return self._queues[tid][0]
-
-    def is_empty(self, tid: int) -> bool:
-        return not self._queues[tid]
-
     def pop_head(self, tid: int) -> DynInst:
         """Retire the thread's oldest instruction."""
-        inst = self._queues[tid].popleft()
         self._occupancy -= 1
-        return inst
+        return self._queues[tid].popleft()
 
     def squash_younger(self, tid: int, boundary_gseq: int) -> List[DynInst]:
         """Remove all of a thread's instructions younger than
@@ -73,10 +57,6 @@ class SharedROB:
             squashed.append(queue.pop())
             self._occupancy -= 1
         return squashed
-
-    def squash_all(self, tid: int) -> List[DynInst]:
-        """Remove every instruction of a thread (runahead exit), youngest-first."""
-        return self.squash_younger(tid, -1)
 
     def thread_window(self, tid: int) -> Iterable[DynInst]:
         """The thread's in-flight instructions, oldest first (read-only)."""

@@ -128,10 +128,6 @@ class RunaheadController:
 
     # --- exit --------------------------------------------------------------------
 
-    def should_exit(self, thread: ThreadContext, now: int) -> bool:
-        return (thread.mode == ThreadMode.RUNAHEAD
-                and now >= thread.runahead_trigger_ready)
-
     def exit(self, thread: ThreadContext, now: int) -> None:
         """Roll the thread back to its checkpoint and resume normal mode."""
         pipeline = self._pipeline

@@ -22,7 +22,7 @@ import enum
 from collections import deque
 from typing import Deque, List, Set
 
-from ..isa import NO_REG, NUM_ARCH_REGS, NUM_INT_ARCH_REGS
+from ..isa import NUM_ARCH_REGS
 from ..trace.trace import Trace
 from .dyninst import DynInst
 from .rename import RenameState
@@ -118,29 +118,6 @@ class ThreadContext:
     def in_runahead(self) -> bool:
         return self.mode == ThreadMode.RUNAHEAD
 
-    def next_inst(self, gseq: int) -> DynInst:
-        """Materialize the next trace instruction at the fetch cursor."""
-        index = self.cursor
-        pass_no = self.pass_no
-        # Positional DynInst construction: this is the hottest allocation
-        # in the simulator (one per fetched instruction).
-        inst = DynInst(
-            self.tid, gseq, index, pass_no,
-            self.ops[index], self.pcs[index] + self.code_offset, 0,
-            self.dests[index], self.src1s[index], self.src2s[index],
-            self.takens[index],
-        )
-        if inst.is_mem:
-            # physical_addr(), inlined for the per-instruction hot path.
-            inst.addr = self.data_base + (
-                (self.addrs[index] + pass_no * self._pass_stride)
-                % self.data_region)
-        self.cursor += 1
-        if self.cursor >= len(self.ops):
-            self.cursor = 0
-            self.pass_no = pass_no + 1
-        return inst
-
     def physical_addr(self, trace_addr: int, pass_no: int) -> int:
         """Thread-private data address with the per-pass shift applied.
 
@@ -149,8 +126,8 @@ class ThreadContext:
         must keep touching fresh lines, while a cacheable benchmark's
         re-executions legitimately re-hit its resident footprint.
         """
-        shifted = (trace_addr + pass_no * self._pass_stride) % self.data_region
-        return self.data_base + shifted
+        return self.data_base + (
+            (trace_addr + pass_no * self._pass_stride) % self.data_region)
 
     def rewind_to(self, trace_index: int, pass_no: int) -> None:
         """Redirect the fetch cursor (squash repair or runahead exit)."""
@@ -189,11 +166,6 @@ class ThreadContext:
         dispatch without waiting.
         """
         self.arch_inv[arch_reg] = invalid
-
-    def arch_is_invalid(self, arch_reg: int) -> bool:
-        if arch_reg == NO_REG:
-            return False
-        return self.arch_inv[arch_reg]
 
     def clear_arch_invalid(self) -> None:
         for index in range(NUM_ARCH_REGS):

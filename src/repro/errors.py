@@ -74,6 +74,31 @@ class IncompleteBatchError(ReproError):
         self.total = total
 
 
+class CellError(ReproError):
+    """One campaign cell failed: names the cell, chaining the error.
+
+    Raised where a cell is simulated, so it crosses a process pool:
+    pickling rebuilds it from its fields (the chained ``__cause__`` stays
+    behind in the worker, so ``cause`` keeps its text).
+    """
+
+    def __init__(self, key: str, workload_class: str, benchmarks,
+                 policy: str, cause: str) -> None:
+        self.key = key
+        self.workload_class = workload_class
+        self.benchmarks = tuple(benchmarks)
+        self.policy = policy
+        self.cause = cause
+        super().__init__(
+            f"cell {key[:12]} ({workload_class} "
+            f"{'+'.join(self.benchmarks)}, policy {policy}) failed: "
+            f"{cause}")
+
+    def __reduce__(self):
+        return (type(self), (self.key, self.workload_class, self.benchmarks,
+                             self.policy, self.cause))
+
+
 class SimulationError(ReproError):
     """The simulator reached an impossible state (internal invariant broken)."""
 

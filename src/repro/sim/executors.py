@@ -40,7 +40,7 @@ from concurrent.futures import (ProcessPoolExecutor, ThreadPoolExecutor,
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.processor import SMTProcessor, SimResult
-from ..errors import ManifestError
+from ..errors import CellError, ManifestError
 from ..trace.generator import TraceKey, generate_trace, prime_traces
 from ..trace.trace import Trace
 
@@ -56,12 +56,19 @@ def simulate_cell(cell) -> SimResult:
 
     Trace generation is seeded by the spec, so any process computing the
     same cell produces the same traces and therefore the same result.
+    A failure raises :class:`~repro.errors.CellError`, which names the
+    cell.
     """
-    traces = [generate_trace(name, cell.spec.trace_len, cell.spec.seed)
-              for name in cell.workload.benchmarks]
-    processor = SMTProcessor(cell.config, traces)
-    return processor.run(min_passes=cell.spec.min_passes,
-                         max_cycles=cell.spec.max_cycles)
+    try:
+        traces = [generate_trace(name, cell.spec.trace_len, cell.spec.seed)
+                  for name in cell.workload.benchmarks]
+        processor = SMTProcessor(cell.config, traces)
+        return processor.run(min_passes=cell.spec.min_passes,
+                             max_cycles=cell.spec.max_cycles)
+    except Exception as error:
+        raise CellError(cell.key(), cell.workload.klass,
+                        cell.workload.benchmarks, cell.policy,
+                        f"{type(error).__name__}: {error}") from error
 
 
 def batch_traces(cells) -> Dict[TraceKey, Trace]:

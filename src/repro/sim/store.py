@@ -116,6 +116,12 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def result_checksum(result: Dict) -> str:
+    """sha256 of a stored result's canonical JSON: an entry whose
+    payload was edited under its own key no longer matches it."""
+    return hashlib.sha256(canonical_json(result).encode("utf-8")).hexdigest()
+
+
 def cache_key(workload, policy, config, spec,
               salt: str = CODE_VERSION_SALT) -> str:
     """Stable content hash identifying one simulation cell."""
@@ -271,10 +277,12 @@ class DiskStore(ResultStore):
         try:
             with open(self._path(key), "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-            if data["key"] != key or data["salt"] != CODE_VERSION_SALT:
-                # Misfiled (copied or renamed under another cell's key)
-                # or written by other code: serving it would hand this
-                # cell someone else's result.
+            if data["key"] != key or data["salt"] != CODE_VERSION_SALT \
+                    or data.get("checksum") != result_checksum(
+                        data["result"]):
+                # Misfiled (copied or renamed under another cell's key),
+                # written by other code, or edited after it was written:
+                # serving it would hand this cell someone else's result.
                 return None
             result = SimResult.from_dict(data["result"])
         except (OSError, ValueError, KeyError, TypeError):
@@ -289,7 +297,9 @@ class DiskStore(ResultStore):
 
         Reading the salt means parsing every payload; callers that only
         need file metadata (age-based pruning) pass ``need_salt=False``
-        to keep the scan at ``os.stat`` cost.
+        to keep the scan at ``os.stat`` cost.  An entry that fails its
+        checksum (or has none) reports ``salt=None``, like unreadable
+        JSON: it can never hit.
         """
         for dirpath, _dirnames, filenames in self._walk():
             for filename in filenames:
@@ -305,8 +315,10 @@ class DiskStore(ResultStore):
                     try:
                         with open(path, "r", encoding="utf-8") as handle:
                             payload = json.load(handle)
-                        salt = payload.get("salt")
-                    except (OSError, ValueError):
+                        if payload.get("checksum") == result_checksum(
+                                payload.get("result")):
+                            salt = payload.get("salt")
+                    except (OSError, ValueError, AttributeError):
                         salt = None
                 yield CacheEntry(key=filename[:-len(".json")], path=path,
                                  salt=salt, mtime=stat.st_mtime,
@@ -396,8 +408,9 @@ class DiskStore(ResultStore):
         # sharded executors share one cache directory: a reader can
         # never observe a torn entry, only a hit or a miss.
         self._memory[key] = result
-        payload = {"key": key, "salt": CODE_VERSION_SALT,
-                   "result": result.to_dict()}
+        data = result.to_dict()
+        payload = {"key": key, "salt": CODE_VERSION_SALT, "result": data,
+                   "checksum": result_checksum(data)}
         try:
             atomic_write_json(self._path(key), payload)
         except OSError:

@@ -306,6 +306,53 @@ class TestResultStore:
         assert canonical(run_b.result) == canonical(simulate_cell(cell_b))
         assert canonical(run_a.result) == canonical(simulate_cell(cell_a))
 
+    @pytest.mark.parametrize("cycles", [12345, "x"],
+                             ids=["edited-value", "wrong-type"])
+    def test_hand_edited_entry_is_a_miss(self, tmp_path, cycles):
+        """An entry edited under its own key fails its checksum: it is
+        never served, counts as corrupt, is pruned as stale, and the
+        cell re-simulates and overwrites it."""
+        cache = str(tmp_path / "cache")
+        cell = SweepCell.make(Workload("MEM1", ("mcf",)), "icount",
+                              spec=RunSpec(trace_len=300, seed=1))
+        original = simulate_cell(cell)
+        assert original.cycles == 3025
+        DiskStore(cache).put(cell.key(), original)
+        path = DiskStore(cache)._path(cell.key())
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["result"]["cycles"] = cycles
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+
+        store = DiskStore(cache)
+        assert store.get(cell.key()) is None
+        assert [entry.salt for entry in store.entries()] == [None]
+        assert store.stats()["by_salt"] == {
+            "<corrupt>": {"entries": 1,
+                          "bytes": os.path.getsize(path)}}
+        assert store.prune(stale_salts=True, dry_run=True).removed == 1
+
+        engine = SimEngine(store=DiskStore(cache))
+        rerun = engine.run_cells([cell])[0]
+        assert engine.counters.simulated == 1
+        assert canonical(rerun.result) == canonical(original)
+        served = DiskStore(cache).get(cell.key())
+        assert served is not None and served.cycles == 3025
+
+    def test_entry_without_checksum_is_a_miss(self, tmp_path):
+        """Entries written before checksums existed miss once."""
+        cache = str(tmp_path / "cache")
+        cell = SweepCell.make(WORKLOAD, "icount", spec=TINY)
+        DiskStore(cache).put(cell.key(), simulate_cell(cell))
+        path = DiskStore(cache)._path(cell.key())
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        del payload["checksum"]
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        assert DiskStore(cache).get(cell.key()) is None
+
     def test_memory_store_hit_counting(self):
         store = MemoryStore()
         engine = SimEngine(store=store)

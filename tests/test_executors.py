@@ -8,14 +8,18 @@ union of shards assembles with zero simulations; and the assembly path
 """
 
 import json
+import pickle
 
 import pytest
 
-from repro.errors import IncompleteBatchError
+from repro.config import baseline
+from repro.errors import (CellError, IncompleteBatchError, ReproError,
+                          SimulationError)
 from repro.sim.engine import SimEngine, SweepCell
-from repro.sim.executors import (SerialBackend, ShardSpec,
-                                 ShardedExecutor, ThreadPoolBackend,
-                                 executor_names, get_executor)
+from repro.sim.executors import (ProcessPoolBackend, SerialBackend,
+                                 ShardSpec, ShardedExecutor,
+                                 ThreadPoolBackend, executor_names,
+                                 get_executor)
 from repro.sim.runner import RunSpec
 from repro.sim.store import DiskStore
 from repro.trace.workloads import Workload
@@ -173,3 +177,43 @@ class TestExecuteProgress:
                          calls.append(args))
         assert calls[0] == (0, 2, 0)
         assert calls[-1] == (2, 2, 0)
+
+
+class TestCellError:
+    """A failing cell names itself, under every executor."""
+
+    CELL = SweepCell.make(Workload("MEM4", ("art", "mcf", "swim", "twolf")),
+                          "rat", config=baseline().with_registers(64),
+                          spec=TINY)
+
+    @pytest.mark.parametrize("backend", [
+        SerialBackend(), ProcessPoolBackend(jobs=2)], ids=["serial",
+                                                           "process"])
+    def test_failing_cell_names_key_workload_and_policy(self, backend):
+        # Two items, so the process pool really fans out to workers.
+        items = [(self.CELL.key(), self.CELL)] * 2
+        with pytest.raises(CellError) as excinfo:
+            backend.run(items, lambda key, result: None)
+        error = excinfo.value
+        message = str(error)
+        assert self.CELL.key()[:12] in message
+        assert "MEM4 art+mcf+swim+twolf" in message
+        assert "policy rat" in message
+        assert "SimulationError: 4 threads need 128 architectural " \
+               "registers per file; config provides 64/64" in message
+        assert (error.key, error.policy) == (self.CELL.key(), "rat")
+        assert error.__cause__ is not None
+        assert isinstance(error, ReproError)
+
+    def test_serial_chains_the_original_error(self):
+        with pytest.raises(CellError) as excinfo:
+            SerialBackend().run([(self.CELL.key(), self.CELL)],
+                                lambda key, result: None)
+        assert isinstance(excinfo.value.__cause__, SimulationError)
+
+    def test_round_trips_through_pickle(self):
+        error = CellError("ab" * 32, "MEM2", ("art", "mcf"), "stall",
+                          "DeadlockError: stuck")
+        again = pickle.loads(pickle.dumps(error))
+        assert str(again) == str(error)
+        assert again.benchmarks == ("art", "mcf")

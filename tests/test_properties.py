@@ -57,9 +57,8 @@ def test_regfile_conservation(actions, size):
     held = []
     for action in actions:
         if action == "alloc":
-            preg = file.alloc()
-            if preg >= 0:
-                held.append(preg)
+            if not file.is_full():
+                held.append(file.alloc())
         elif held:
             file.release(held.pop())
         file.check_conservation()

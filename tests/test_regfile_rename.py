@@ -19,7 +19,7 @@ class TestPhysRegFile:
         file = PhysRegFile("t", 4)
         regs = [file.alloc() for _ in range(4)]
         assert sorted(regs) == [0, 1, 2, 3]
-        assert file.alloc() == -1
+        assert file.is_full()
         file.release(regs[0])
         assert file.alloc() == regs[0]
 
@@ -62,10 +62,10 @@ class TestPhysRegFile:
         preg = file.alloc()
         waiter = _inst()
         file.add_waiter(preg, waiter)
-        assert not file.is_ready(preg, 100)
+        assert file.ready[preg] > 100
         woken = file.set_ready(preg, 50, invalid=True)
         assert woken == [waiter]
-        assert file.is_ready(preg, 50)
+        assert file.ready[preg] == 50
         assert file.inv[preg]
         # Waiter list is cleared after wakeup.
         assert file.set_ready(preg, 60) == []
@@ -88,7 +88,6 @@ class TestPhysRegFile:
         file = PhysRegFile("t", 8)
         file.alloc()
         assert file.allocated_count == 1
-        assert file.free_count == 7
 
     def test_rejects_zero_size(self):
         with pytest.raises(ValueError):
@@ -114,7 +113,7 @@ class TestRenameState:
         int_file, fp_file = self._files()
         rename = RenameState(0, int_file, fp_file)
         for arch in range(32):
-            assert int_file.is_ready(rename.lookup(RegClass.INT, arch), 0)
+            assert int_file.ready[rename.lookup(RegClass.INT, arch)] <= 0
 
     def test_rename_and_undo(self):
         int_file, fp_file = self._files()

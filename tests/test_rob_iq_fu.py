@@ -1,13 +1,18 @@
 """Tests for the shared ROB, issue queues and FU pools."""
 
+import dataclasses
+
 import pytest
 
+from repro.config import baseline
 from repro.core.dyninst import DynInst, InstState
 from repro.core.fu import FUPool
 from repro.core.issue_queue import IssueQueue, MEMORY_WAIT
+from repro.core.pipeline import SMTPipeline
 from repro.core.rob import SharedROB
-from repro.errors import SimulationError
-from repro.isa import FUKind, OpClass
+from repro.isa import FUKind, OP_FU_BY_CODE, OpClass
+from repro.policies.registry import create_policy
+from repro.testing import TraceBuilder
 
 
 def _inst(tid=0, gseq=0, op=OpClass.IALU):
@@ -21,8 +26,8 @@ class TestSharedROB:
         first = _inst(tid=0, gseq=0)
         rob.append(first)
         rob.append(_inst(tid=1, gseq=0))
-        assert rob.head(0) is first
-        assert rob.occupancy == 2
+        assert next(rob.thread_window(0)) is first
+        assert rob._occupancy == 2
         assert [len(list(rob.thread_window(tid))) for tid in (0, 1)] \
             == [1, 1]
 
@@ -30,10 +35,9 @@ class TestSharedROB:
         rob = SharedROB(4, 2)
         for seq in range(3):
             rob.append(_inst(tid=0, gseq=seq))
+        assert not rob.is_full()
         rob.append(_inst(tid=1, gseq=0))
         assert rob.is_full()
-        with pytest.raises(SimulationError):
-            rob.append(_inst(tid=1, gseq=1))
 
     def test_pop_head_in_order(self):
         rob = SharedROB(8, 1)
@@ -42,7 +46,7 @@ class TestSharedROB:
             rob.append(inst)
         assert rob.pop_head(0) is instrs[0]
         assert rob.pop_head(0) is instrs[1]
-        assert rob.occupancy == 1
+        assert rob._occupancy == 1
 
     def test_squash_younger_returns_youngest_first(self):
         rob = SharedROB(8, 1)
@@ -51,15 +55,15 @@ class TestSharedROB:
             rob.append(inst)
         squashed = rob.squash_younger(0, boundary_gseq=1)
         assert [inst.gseq for inst in squashed] == [4, 3, 2]
-        assert rob.occupancy == 2
+        assert rob._occupancy == 2
 
     def test_squash_only_affects_one_thread(self):
         rob = SharedROB(8, 2)
         rob.append(_inst(tid=0, gseq=0))
         rob.append(_inst(tid=1, gseq=0))
-        rob.squash_all(0)
-        assert rob.is_empty(0)
-        assert not rob.is_empty(1)
+        rob.squash_younger(0, -1)
+        assert not list(rob.thread_window(0))
+        assert list(rob.thread_window(1))
 
     def test_thread_window_iterates_oldest_first(self):
         rob = SharedROB(8, 1)
@@ -96,11 +100,11 @@ class TestIssueQueue:
         queue.remove(inst)
         assert queue.size == 0
 
-    def test_overflow_raises(self):
+    def test_is_full_at_capacity(self):
         queue = IssueQueue("int", 1, 1)
+        assert not queue.is_full()
         queue.insert(_inst(gseq=0))
-        with pytest.raises(SimulationError):
-            queue.insert(_inst(gseq=1))
+        assert queue.is_full()
 
     def test_take_ready_oldest_first_across_threads(self):
         queue = IssueQueue("int", 8, 2)
@@ -130,13 +134,6 @@ class TestIssueQueue:
         inst.state = InstState.READY
         queue.requeue(inst)
         assert queue.take_ready(1) == [inst]
-
-    def test_ready_count(self):
-        queue = IssueQueue("int", 8, 1)
-        inst = _inst()
-        inst.state = InstState.READY
-        queue.mark_ready(inst)
-        assert queue.ready_count() == 1
 
 
 class TestNextReadyCycle:
@@ -209,32 +206,36 @@ class TestNextReadyCycle:
 class TestFUPool:
     def test_budgets_match_table1(self):
         pool = FUPool(6, 3, 4)
-        assert pool.capacity(FUKind.INT) == 6
-        assert pool.capacity(FUKind.FP) == 3
-        assert pool.capacity(FUKind.LDST) == 4
+        assert pool._capacity[FUKind.INT] == 6
+        assert pool._capacity[FUKind.FP] == 3
+        assert pool._capacity[FUKind.LDST] == 4
 
     def test_acquire_consumes_budget(self):
-        pool = FUPool(2, 1, 1)
-        assert pool.acquire(int(OpClass.IALU))
-        assert pool.acquire(int(OpClass.IMUL))
-        assert not pool.acquire(int(OpClass.IALU))
+        # The issue stage claims one unit per issued instruction, and
+        # selects no more ready instructions than the pool has units.
+        pipeline = _pipeline(int_units=2)
+        queue = pipeline.queues[0]
+        ready = [_ready(pipeline, queue, gseq) for gseq in range(3)]
+        pipeline._issue_stage(0)
+        assert [inst.state for inst in ready] == [
+            InstState.ISSUED, InstState.ISSUED, InstState.READY]
+        assert pipeline.fus._available[FUKind.INT] == 0
 
     def test_new_cycle_refreshes(self):
         pool = FUPool(1, 1, 1)
-        pool.acquire(int(OpClass.IALU))
+        pool._available[FUKind.INT] -= 1
         pool.new_cycle()
-        assert pool.acquire(int(OpClass.IALU))
+        assert pool._available == pool._capacity
 
     def test_pools_independent(self):
-        pool = FUPool(1, 1, 1)
-        assert pool.acquire(int(OpClass.IALU))
-        assert pool.acquire(int(OpClass.FADD))
-        assert pool.acquire(int(OpClass.LOAD))
+        # INT, FP and load/store ops draw on three separate budgets.
+        kinds = {OP_FU_BY_CODE[int(op)]
+                 for op in (OpClass.IALU, OpClass.FADD, OpClass.LOAD)}
+        assert kinds == {FUKind.INT, FUKind.FP, FUKind.LDST}
 
     def test_branch_uses_int_units(self):
-        pool = FUPool(1, 1, 1)
-        assert pool.acquire(int(OpClass.BRANCH))
-        assert not pool.acquire(int(OpClass.IALU))
+        assert OP_FU_BY_CODE[int(OpClass.BRANCH)] == FUKind.INT
+        assert OP_FU_BY_CODE[int(OpClass.IALU)] == FUKind.INT
 
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError):
@@ -245,5 +246,21 @@ class TestFUPool:
         # boundary; the horizon must say so regardless of current usage.
         pool = FUPool(1, 1, 1)
         assert pool.next_release_cycle(41) == 42
-        pool.acquire(int(OpClass.IALU))
+        pool._available[FUKind.INT] = 0
         assert pool.next_release_cycle(41) == 42
+
+
+def _pipeline(int_units):
+    config = dataclasses.replace(baseline(), int_units=int_units)
+    return SMTPipeline(config, [TraceBuilder().nops(4).build()],
+                       create_policy("icount", config))
+
+
+def _ready(pipeline, queue, gseq):
+    """A dispatched IALU instruction with its operands ready."""
+    inst = _inst(gseq=gseq)
+    inst.state = InstState.READY
+    pipeline.threads[0].icount += 1
+    queue.insert(inst)
+    queue.mark_ready(inst)
+    return inst

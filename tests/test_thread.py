@@ -1,50 +1,84 @@
 """Tests for ThreadContext."""
 
+from repro.config import baseline
+from repro.core.pipeline import SMTPipeline
 from repro.core.regfile import PhysRegFile
 from repro.core.rename import RenameState
 from repro.core.thread import PASS_STRIDE_BYTES, ThreadContext
+from repro.policies.registry import create_policy
 
 from repro.testing import TraceBuilder
 
 
+def _trace():
+    return TraceBuilder().ialu(1).load(2, 64).branch(taken=True).build()
+
+
 def _thread(trace=None, pass_shift=True, tid=0):
     if trace is None:
-        trace = (TraceBuilder().ialu(1).load(2, 64).branch(taken=True)
-                 .build())
+        trace = _trace()
     int_file = PhysRegFile("int", 96)
     fp_file = PhysRegFile("fp", 96)
     rename = RenameState(tid, int_file, fp_file)
     return ThreadContext(tid, trace, rename, pass_shift=pass_shift)
 
 
+def _pipeline(trace=None):
+    config = baseline()
+    return SMTPipeline(config, [trace or _trace()],
+                       create_policy("icount", config))
+
+
+def _fetch(pipeline, count):
+    """Run the fetch loop alone until ``count`` instructions are in the
+    thread's fetch queue (waiting out i-cache misses and redirects)."""
+    thread = pipeline.threads[0]
+    now = 0
+    while len(thread.fetch_queue) < count:
+        now = max(now + 1, thread.fetch_blocked_until)
+        pipeline._fetch_thread(thread, now, count - len(thread.fetch_queue))
+    return list(thread.fetch_queue)
+
+
 class TestFetchCursor:
+    """The fetch loop walks the trace cursor (SMTPipeline._fetch_thread
+    is the only code that materializes dynamic instructions)."""
+
     def test_next_inst_advances(self):
-        thread = _thread()
-        first = thread.next_inst(gseq=0)
-        second = thread.next_inst(gseq=1)
+        pipeline = _pipeline()
+        first, second = _fetch(pipeline, 2)
         assert first.trace_index == 0 and second.trace_index == 1
         assert (first.gseq, second.gseq) == (0, 1)
 
     def test_wraps_and_counts_pass(self):
-        thread = _thread()
-        for _ in range(3):
-            thread.next_inst(0)
+        pipeline = _pipeline()
+        _fetch(pipeline, 3)
+        thread = pipeline.threads[0]
         assert thread.cursor == 0
         assert thread.pass_no == 1
 
     def test_rewind(self):
-        thread = _thread()
-        for _ in range(3):
-            thread.next_inst(0)
+        pipeline = _pipeline()
+        _fetch(pipeline, 3)
+        thread = pipeline.threads[0]
+        thread.fetch_queue.clear()
         thread.rewind_to(1, 0)
-        inst = thread.next_inst(0)
+        inst, = _fetch(pipeline, 1)
         assert inst.trace_index == 1 and inst.pass_no == 0
 
     def test_memory_instruction_gets_physical_address(self):
-        thread = _thread()
-        thread.next_inst(0)
-        load = thread.next_inst(0)
-        assert load.addr == thread.data_base + 64
+        pipeline = _pipeline()
+        _alu, load = _fetch(pipeline, 2)
+        assert load.addr == pipeline.threads[0].data_base + 64
+
+    def test_later_pass_fetches_the_shifted_address(self):
+        trace = TraceBuilder(data_region=1 << 26).load(2, 128).build()
+        pipeline = _pipeline(trace)
+        first, second = _fetch(pipeline, 2)
+        thread = pipeline.threads[0]
+        assert (first.pass_no, second.pass_no) == (0, 1)
+        assert first.addr == thread.physical_addr(128, 0)
+        assert second.addr == thread.physical_addr(128, 1) != first.addr
 
 
 class TestAddressing:
@@ -98,67 +132,20 @@ class TestArchInvalid:
     def test_flag_roundtrip(self):
         thread = _thread()
         thread.note_arch_invalid(40, True)
-        assert thread.arch_is_invalid(40)
+        assert thread.arch_inv[40]
         thread.note_arch_invalid(40, False)
-        assert not thread.arch_is_invalid(40)
+        assert not thread.arch_inv[40]
 
     def test_integer_regs_can_be_flagged(self):
         # INV recycling applies to both register classes.
         thread = _thread()
         thread.note_arch_invalid(5, True)
-        assert thread.arch_is_invalid(5)
-        assert not thread.arch_is_invalid(-1)
+        assert thread.arch_inv[5]
 
     def test_clear_all(self):
         thread = _thread()
         thread.note_arch_invalid(5, True)
         thread.note_arch_invalid(60, True)
         thread.clear_arch_invalid()
-        assert not thread.arch_is_invalid(5)
-        assert not thread.arch_is_invalid(60)
-
-
-class TestNextInstMatchesPipelineInline:
-    """``ThreadContext.next_inst`` is the readable reference for the
-    fetch loop inlined into ``SMTPipeline._fetch_thread``; this pins the
-    two copies together so an edit to either cannot silently diverge.
-    """
-
-    def test_inlined_fetch_loop_materializes_identical_instructions(self):
-        from repro.config import baseline
-        from repro.core.pipeline import SMTPipeline
-        from repro.policies.registry import create_policy
-        from repro.trace.generator import generate_trace
-
-        config = baseline()
-        make = lambda: [generate_trace("mcf", 300, 3)]
-        pipeline = SMTPipeline(config, make(), create_policy("icount",
-                                                             config))
-        thread = pipeline.threads[0]
-        # Step (cold icache: the first line fill takes a full memory
-        # round trip) until the first fetch block lands, then stop —
-        # the stream consumed so far is linear, since no misprediction
-        # can have resolved and rewound the cursor yet.
-        for _ in range(2_000):
-            pipeline.step()
-            if thread.stats.fetched:
-                break
-        fetched = sorted(
-            [inst for inst in pipeline.rob._queues[0]]
-            + list(thread.fetch_queue), key=lambda inst: inst.gseq)
-        assert fetched, "premise: nothing was fetched in 2000 cycles"
-
-        reference = SMTPipeline(config, make(),
-                                create_policy("icount", config))
-        ref_thread = reference.threads[0]
-        for got in fetched:
-            want = ref_thread.next_inst(got.gseq)
-            for field in ("tid", "gseq", "trace_index", "pass_no",
-                          "op", "pc", "addr", "dest_arch", "src1_arch",
-                          "src2_arch", "taken", "is_load", "is_store",
-                          "is_mem", "is_branch"):
-                assert getattr(got, field) == getattr(want, field), (
-                    f"inlined fetch loop diverged from next_inst on "
-                    f"{field} at gseq {got.gseq}")
-        assert ref_thread.cursor == thread.cursor
-        assert ref_thread.pass_no == thread.pass_no
+        assert not thread.arch_inv[5]
+        assert not thread.arch_inv[60]

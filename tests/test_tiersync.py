@@ -15,6 +15,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import shutil
 
 import pytest
@@ -24,18 +25,15 @@ from repro.analysis import LintOptions, run_lint
 from repro.analysis.cli import lint_main
 from repro.analysis.hotpath import (COVERAGE_CLASSES, check_function,
                                     generated_kernels)
+from repro.core import kernel_gen
 from repro.core import pipeline as pipeline_module
 from repro.core.kernel_gen import DerivationError, kernel_source
 
 PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
-#: Helpers every derived kernel inlines, and the class it builds in
-#: place: none may survive as a call.
-INLINED_HELPERS = (
-    "_commit_thread", "_dispatch", "_fetch_thread", "_issue_load",
-    "_issue_store", "_issue_runahead_load", "_src_ready",
-    "_recycle_runahead_dest", "take_ready", "DynInst",
-)
+#: Every helper some derived kernel inlines (``DynInst.__init__`` is the
+#: class fetch builds in place): none may survive as a call.
+INLINED_HELPERS = frozenset(callee for _caller, callee in kernel_gen._INLINE)
 
 FULL_KEY = dict(COVERAGE_CLASSES)["full"]
 
@@ -151,14 +149,111 @@ def test_broken_construction_names_op_and_dyninst_line(package_copy, old,
     assert f"core/dyninst.py:{line}" in message
 
 
+def _kernel_receiver_class(spelling):
+    """The class a derived kernel's receiver spelling names, if any."""
+    if spelling == "pipeline":
+        return "SMTPipeline"
+    if re.fullmatch(r"t\d+", spelling):
+        return "ThreadContext"
+    return kernel_gen._RECEIVERS.get(spelling)
+
+
+def _called_helpers(source, key):
+    """Qualnames of the helpers a kernel calls, matched by receiver and
+    method name (``fetch_queue.append`` is a deque's, not the ROB's)."""
+    hoisted = {local: spelling for spelling, local
+               in kernel_gen._substitutions(key).items()
+               if type(local) is str}
+    called = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            spelling = hoisted.get(func.id, "")
+            if spelling.startswith("pipeline."):
+                called.add(f"SMTPipeline.{spelling.split('.', 1)[1]}")
+            called.add(f"{func.id}.__init__")
+        elif isinstance(func, ast.Attribute):
+            owner = _kernel_receiver_class(
+                kernel_gen._spelling(func.value) or "")
+            if owner is not None:
+                called.add(f"{owner}.{func.attr}")
+    return called
+
+
 def test_no_derived_kernel_calls_an_inlined_helper():
-    for label, _key, source in generated_kernels(_real_ctx()):
-        called = {node.func.attr if isinstance(node.func, ast.Attribute)
-                  else node.func.id
-                  for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Call)
-                  and isinstance(node.func, (ast.Attribute, ast.Name))}
-        assert not called & set(INLINED_HELPERS), (label, called)
+    assert {"SharedROB.pop_head", "IssueQueue.is_full", "PhysRegFile.alloc",
+            "RenameState.rename_dest", "SMTPipeline._complete",
+            "ThreadContext.can_fetch"} <= INLINED_HELPERS
+    for label, key, source in generated_kernels(_real_ctx()):
+        called = _called_helpers(source, key)
+        assert called, label
+        assert not called & INLINED_HELPERS, (label,
+                                              called & INLINED_HELPERS)
+
+
+def test_called_helper_matching_is_by_receiver():
+    # The matcher sees an inlined helper called on a typed receiver, and
+    # tells it apart from a deque or list method of the same name.
+    key = FULL_KEY
+    source = ("def k(pipeline, rob, fetch_queue, t0):\n"
+              "    fetch_queue.append(1)\n"
+              "    rob.append(2)\n"
+              "    t0.can_fetch(3)\n"
+              "    pipeline._complete(4)\n"
+              "    DynInst(5)\n")
+    assert _called_helpers(source, key) & INLINED_HELPERS == {
+        "SharedROB.append", "ThreadContext.can_fetch",
+        "SMTPipeline._complete", "DynInst.__init__"}
+
+
+# ---------------------------------------------------------------------------
+# Receiver-typed inlining: each helper is the only copy of its mechanism.
+
+def test_pop_head_edit_flows_into_both_commit_loops(package_copy):
+    _edit(package_copy, "core/rob.py",
+          "        self._occupancy -= 1\n"
+          "        return self._queues[tid].popleft()",
+          "        self._occupancy -= 2\n"
+          "        return self._queues[tid].popleft()")
+    before = kernel_source(FULL_KEY)
+    after = kernel_source(FULL_KEY, package_copy)
+    # The normal commit loop and the runahead pseudo-retire loop.
+    assert before.count("rob._occupancy -= 1") == 2
+    assert after.count("rob._occupancy -= 2") == 2
+    assert "rob._occupancy -= 1" not in after
+    assert "pop_head" not in after
+
+
+def test_is_full_inlines_its_own_class_body(package_copy):
+    before = kernel_source(FULL_KEY)
+    rob_test = f"if rob._occupancy >= {FULL_KEY.rob_capacity}:"
+    queue_test = "if queue.size >= queue.capacity:"
+    assert rob_test in before and queue_test in before
+    assert "if not dest_file._free:" in before
+    # An edit to IssueQueue.is_full moves only the queue's site.
+    _edit(package_copy, "core/issue_queue.py",
+          "        return self.size >= self.capacity",
+          "        return self.size > self.capacity")
+    after = kernel_source(FULL_KEY, package_copy)
+    assert rob_test in after
+    assert queue_test not in after
+    assert "if queue.size > queue.capacity:" in after
+
+
+def test_undeclared_receiver_names_op_and_line(package_copy):
+    call = "        rob.append(inst)\n        inst.state = _DISPATCHED\n"
+    _edit(package_copy, "core/pipeline.py", call,
+          call.replace("rob.append", "self.rob.append"))
+    with pytest.raises(DerivationError) as excinfo:
+        kernel_source(FULL_KEY, package_copy)
+    message = str(excinfo.value)
+    line = _def_line(package_copy, "        self.rob.append(inst)")
+    assert "inline SharedROB.append into SMTPipeline._dispatch" in message
+    assert "undeclared receiver 'self.rob'" in message
+    assert "stage dispatch" in message
+    assert f"core/pipeline.py:{line} " in message
 
 
 def test_diverging_fu_table_fails_the_fold(monkeypatch):
