@@ -12,19 +12,17 @@ Examples::
     repro-smt all --shard 2/3 --cache-dir /shared/cache   # machine 2
     repro-smt all --shard 3/3 --cache-dir /shared/cache   # machine 3
     repro-smt all --cache-dir /shared/cache               # assemble union
-    repro-smt bench --quick --check benchmarks/BENCH_baseline.json
     repro-smt cache stats --cache-dir ~/.cache/repro-smt
     repro-smt cache prune --cache-dir ~/.cache/repro-smt --stale-salts
     repro-smt lint --format json
     repro-smt lint --accept-fingerprints
 
-Besides the exhibit names, four maintenance subcommands exist:
+Besides the exhibit names, three maintenance subcommands exist:
 ``plan`` emits a campaign's JSON manifest without running anything (see
-:mod:`repro.sim.manifest`), ``bench`` times representative simulation
-cells and emits a ``BENCH_<rev>.json`` report (see :mod:`repro.bench`),
-``cache`` inspects or prunes a ``--cache-dir`` result store (see
-:mod:`repro.sim.store`), and ``lint`` statically checks the package's
-reproducibility invariants (see :mod:`repro.analysis`).
+:mod:`repro.sim.manifest`), ``cache`` inspects or prunes a
+``--cache-dir`` result store (see :mod:`repro.sim.store`), and ``lint``
+statically checks the package's reproducibility invariants (see
+:mod:`repro.analysis`).
 
 However many exhibits are requested, their planned simulation cells are
 unioned into **one** deduplicated batch (costliest cells first), so
@@ -95,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Performance' (HPCA 2008): regenerate its tables "
                     "and figures on the bundled simulator.",
         epilog="Maintenance subcommands: 'repro-smt plan --help' "
-               "(emit a campaign's JSON manifest), 'repro-smt bench "
-               "--help' (wall-clock benchmark harness), 'repro-smt "
+               "(emit a campaign's JSON manifest), 'repro-smt "
                "cache --help' (result-store stats / pruning), "
                "'repro-smt lint --help' (static reproducibility "
                "checks).")
@@ -152,11 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "DIR/<exhibit>.<ext> in the chosen format")
     parser.add_argument("--no-progress", action="store_true",
                         help="suppress per-cell progress output")
-    _add_kernel_argument(parser)
-    return parser
-
-
-def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernel", choices=("auto", "python"),
                         default=None,
                         help="run-loop tier driving each cell: 'auto' "
@@ -166,6 +158,7 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
                              "(portable loop always). Sets REPRO_KERNEL "
                              "for this invocation, workers included; "
                              "results are bit-identical in every tier")
+    return parser
 
 
 def _apply_kernel(args: argparse.Namespace) -> None:
@@ -341,87 +334,6 @@ def plan_main(argv: List[str]) -> int:
     return 0
 
 
-def build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-smt bench",
-        description="Time representative simulation cells (1/2/4-thread "
-                    "ILP/MEM/MIX workloads under icount/stall/flush/rat) "
-                    "and emit a BENCH_<rev>.json report.")
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized subset of the cell matrix")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats per cell; best is kept "
-                             "(default: 3)")
-    parser.add_argument("--no-noskip", action="store_true",
-                        help="skip the cycle-skip-disabled reference "
-                             "timings (halves the runtime)")
-    parser.add_argument("--output", default=None, metavar="PATH",
-                        help="report path (default: BENCH_<rev>.json)")
-    parser.add_argument("--check", default=None, metavar="BASELINE",
-                        help="compare calibration-normalized times "
-                             "against a baseline report; non-zero exit "
-                             "on regression beyond --tolerance")
-    parser.add_argument("--tolerance", type=float, default=2.0,
-                        help="max allowed cost ratio vs the baseline "
-                             "(default: 2.0)")
-    parser.add_argument("--compare", default=None, metavar="REPORT",
-                        help="also print per-cell speedups against "
-                             "another report (informational)")
-    parser.add_argument("--compare-kernels", action="store_true",
-                        help="additionally time every cell under the "
-                             "forced 'python' run-loop tier and record "
-                             "seconds_python/kernel_speedup per cell "
-                             "(same-session evidence for the "
-                             "specialized tier)")
-    _add_kernel_argument(parser)
-    return parser
-
-
-def bench_main(argv: List[str]) -> int:
-    from . import bench
-    args = build_bench_parser().parse_args(argv)
-    _apply_kernel(args)
-    print(f"[bench] timing {len(bench.bench_cells(args.quick))} cells "
-          f"(repeats={args.repeats}"
-          f"{', quick' if args.quick else ''})", file=sys.stderr)
-    report = bench.run_bench(
-        quick=args.quick, repeats=args.repeats,
-        measure_noskip=not args.no_noskip,
-        compare_kernels=args.compare_kernels,
-        progress=lambda line: print(line, file=sys.stderr))
-    path = bench.write_report(report, args.output)
-    print(bench.render_report(report))
-    print(f"[wrote {path}]", file=sys.stderr)
-
-    for label, reference_path in (("compare", args.compare),
-                                  ("check", args.check)):
-        if not reference_path:
-            continue
-        try:
-            reference = bench.load_report(reference_path)
-        except (OSError, ValueError) as error:
-            print(f"repro-smt bench: bad --{label} report: {error}",
-                  file=sys.stderr)
-            return 2
-        drift = bench.calibration_drift_warning(report, reference)
-        if drift:
-            print(drift, file=sys.stderr)
-        print(f"[{label}] this run @ {bench.revision_label(report)} vs "
-              f"{reference_path} @ {bench.revision_label(reference)}")
-        for line in bench.compare_summary(report, reference):
-            print(line)
-        if label == "check":
-            failures = bench.check_report(report, reference,
-                                          args.tolerance)
-            if failures:
-                for failure in failures:
-                    print(f"REGRESSION {failure}", file=sys.stderr)
-                return 1
-            print(f"[check ok: no cell exceeds {args.tolerance:.2f}x "
-                  f"the baseline cost]")
-    return 0
-
-
 def build_cache_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-smt cache",
@@ -502,8 +414,8 @@ def lint_main(argv: List[str]) -> int:
 
 
 #: Maintenance subcommands dispatched ahead of the exhibit interface.
-SUBCOMMANDS = {"plan": plan_main, "bench": bench_main,
-               "cache": cache_main, "lint": lint_main}
+SUBCOMMANDS = {"plan": plan_main, "cache": cache_main,
+               "lint": lint_main}
 
 
 def main(argv: Optional[List[str]] = None) -> int:

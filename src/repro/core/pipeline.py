@@ -446,8 +446,7 @@ class SMTPipeline:
                 if state == _ISSUED:
                     self._complete(inst, now)
             elif kind == _EV_L2_DETECT:
-                if state < _RETIRED:
-                    self._on_l2_detected(inst, now)
+                self._on_l2_detected(inst, now)
         if self._fold_worklist:
             self._drain_folds(now)
 

@@ -101,7 +101,7 @@ class MemoryHierarchy:
         if packed < 0:
             return None
         return AccessResult(packed >> 2, bool(packed & 2),
-                            addr // self.dcache.config.line_bytes,
+                            self.dcache.line_of(addr),
                             merged=bool(packed & 1))
 
     def data_access_packed(self, addr: int, is_store: bool, now: int,
@@ -124,19 +124,14 @@ class MemoryHierarchy:
 
         dcache = self.dcache
         mshr = self.mshr
-        line = addr // dcache.config.line_bytes   # inlined line_of
-        # Inlined MSHRFile.pending: the no-entry case is the
-        # overwhelmingly common one on this per-access hot path.
-        entry = mshr._entries.get(line)
+        line = dcache.line_of(addr)
+        entry = mshr.pending(line, now)
         if entry is not None:
             ready, from_memory = entry
-            if ready > now:
-                mshr.merges += 1
-                stats.merges += 1
-                l1_done = now + dcache.latency
-                complete = ready if ready > l1_done else l1_done
-                return (complete << 2) | (2 if from_memory else 0) | 1
-            del mshr._entries[line]
+            stats.merges += 1
+            l1_done = now + dcache.latency
+            complete = ready if ready > l1_done else l1_done
+            return (complete << 2) | (2 if from_memory else 0) | 1
 
         if dcache.lookup(line):
             if not speculative and line in self._prefetched_lines:
@@ -203,7 +198,7 @@ class MemoryHierarchy:
         """Fetch the instruction line containing ``pc``."""
         packed = self.ifetch_packed(pc, now, thread_id, speculative)
         return AccessResult(packed >> 2, bool(packed & 2),
-                            pc // self.icache.config.line_bytes,
+                            self.icache.line_of(pc),
                             merged=bool(packed & 1))
 
     def ifetch_packed(self, pc: int, now: int, thread_id: int,
@@ -217,18 +212,14 @@ class MemoryHierarchy:
         stats = self.stats[thread_id]
         stats.ifetches += 1
         icache = self.icache
-        mshr = self.mshr
-        line = pc // icache.config.line_bytes     # inlined line_of
-        entry = mshr._entries.get(line)           # inlined MSHRFile.pending
+        line = icache.line_of(pc)
+        entry = self.mshr.pending(line, now)
         if entry is not None:
             ready, from_memory = entry
-            if ready > now:
-                mshr.merges += 1
-                stats.merges += 1
-                l1_done = now + icache.latency
-                complete = ready if ready > l1_done else l1_done
-                return (complete << 2) | (2 if from_memory else 0) | 1
-            del mshr._entries[line]
+            stats.merges += 1
+            l1_done = now + icache.latency
+            complete = ready if ready > l1_done else l1_done
+            return (complete << 2) | (2 if from_memory else 0) | 1
         if icache.lookup(line):
             return (now + icache.latency) << 2
         stats.l1i_misses += 1

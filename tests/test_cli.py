@@ -63,10 +63,10 @@ class TestBackendFlag:
         assert isinstance(backend, ThreadPoolBackend)
         assert backend.jobs == 3
 
-    def test_shard_wraps_backend(self):
+    def test_shard_wraps_backend(self, tmp_path):
         args = build_parser().parse_args(
             ["figure1", "--shard", "2/4", "--jobs", "2",
-             "--cache-dir", "unused"])
+             "--cache-dir", str(tmp_path)])
         backend = make_engine(args).backend
         assert isinstance(backend, ShardedExecutor)
         assert backend.shard == ShardSpec(2, 4)

@@ -65,12 +65,14 @@ def test_cli_kernel_flag_sets_env(monkeypatch):
 
 
 def test_bench_cli_takes_kernel_flag():
-    from repro.cli import build_bench_parser
-    args = build_bench_parser().parse_args(["--quick", "--kernel",
-                                            "python"])
+    # the campaign run ('all') takes the flag like any exhibit; the
+    # specialized tier is picked by 'auto', never forced
+    from repro.cli import build_parser
+    args = build_parser().parse_args(["all", "--workloads-per-class", "1",
+                                      "--kernel", "python"])
     assert args.kernel == "python"
     with pytest.raises(SystemExit):
-        build_bench_parser().parse_args(["--kernel", "specialized"])
+        build_parser().parse_args(["all", "--kernel", "specialized"])
 
 
 # --- registry + selection ---------------------------------------------------

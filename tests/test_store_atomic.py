@@ -4,7 +4,7 @@ Satellite of ISSUE 5: N sharded executors share one ``--cache-dir``, so
 the invariant is that a reader observes a complete entry or no entry —
 never partial JSON.  Writes go to a same-directory temp file and land
 via ``os.replace``; these tests pin the crash-mid-write behaviour for
-the result store, the exhibit-render cache and the bench report writer.
+the result store and the exhibit-render cache.
 """
 
 import json
@@ -153,23 +153,3 @@ class TestExhibitRenderCacheAtomicity:
         assert cache.get("c" * 64) is None
         assert cache.misses == 1
 
-
-class TestBenchReportAtomicity:
-    def test_write_report_is_atomic(self, tmp_path, monkeypatch):
-        from repro import bench
-        path = str(tmp_path / "BENCH_x.json")
-        report = {"schema": bench.BENCH_SCHEMA, "revision": "x",
-                  "cells": {}}
-        bench.write_report(report, path)
-        assert bench.load_report(path)["revision"] == "x"
-
-        def exploding_replace(_src, _dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(os, "replace", exploding_replace)
-        with pytest.raises(OSError):
-            bench.write_report({**report, "revision": "y"}, path)
-        monkeypatch.undo()
-        # The old, complete report survives the failed overwrite.
-        assert bench.load_report(path)["revision"] == "x"
-        assert tree(tmp_path) == [path]
