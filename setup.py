@@ -1,9 +1,10 @@
 """Legacy setup shim.
 
 Offline environments without the ``wheel`` package cannot build PEP 660
-editable wheels; this shim lets ``pip install -e . --no-build-isolation``
-fall back to the classic ``setup.py develop`` path.  All metadata lives in
-pyproject.toml.
+editable wheels, and ``pip install -e . --no-build-isolation`` fails there
+with ``invalid command 'bdist_wheel'``.  This shim makes
+``python setup.py develop`` install the package editable instead.  All
+metadata lives in pyproject.toml.
 """
 
 from setuptools import setup

@@ -28,7 +28,7 @@ MUTATOR_METHODS = frozenset({
     "append", "appendleft", "pop", "popleft", "clear", "extend",
     "extendleft", "remove", "add", "discard", "sort", "reverse",
     "update", "insert", "setdefault", "force", "fill", "push",
-    "requeue", "schedule",
+    "schedule",
 })
 
 #: Free functions that mutate their first argument in-place.
@@ -45,9 +45,6 @@ BENIGN_MUTATIONS: Dict[str, Tuple[str, ...]] = {
     # Lazy prune of heap keys whose event bucket already drained
     # (core/pipeline.py _next_event_cycle docstring).
     "SMTPipeline._next_event_cycle": ("heappop",),
-    # Lazy prune of release-heap pairs whose entry was dropped or
-    # re-allocated (mem/mshr.py next_release_cycle docstring).
-    "MSHRFile.next_release_cycle": ("heapq.heappop",),
     # Dropping a ready list that holds only dead entries — the list is
     # semantically empty either way (core/issue_queue.py).
     "IssueQueue.next_ready_cycle": ("ready",),
@@ -59,9 +56,6 @@ BENIGN_MUTATIONS: Dict[str, Tuple[str, ...]] = {
 HORIZON_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("core/pipeline.py", "SMTPipeline._next_event_cycle"),
     ("core/issue_queue.py", "IssueQueue.next_ready_cycle"),
-    ("core/fu.py", "FUPool.next_release_cycle"),
-    ("mem/mshr.py", "MSHRFile.next_release_cycle"),
-    ("mem/hierarchy.py", "MemoryHierarchy.next_fill_cycle"),
 )
 
 

@@ -46,8 +46,8 @@ CODE_SCOPE_DIRS = ("core/", "mem/", "trace/", "policies/", "branch/")
 #: Individual modules under the code salt: the ISA tables, the config
 #: encoding (both inputs to every cell), the cache-key derivation and
 #: the run loops that drive a cell to completion.
-CODE_SCOPE_FILES = ("isa.py", "config.py", "sim/store.py", "sim/fame.py",
-                    "sim/runner.py", "sim/kernels.py")
+CODE_SCOPE_FILES = ("isa.py", "config.py", "sim/store.py", "sim/runner.py",
+                    "sim/kernels.py")
 
 #: Directories under the render salt: everything that turns cached runs
 #: into exhibit documents (renderers and the derived-metric helpers).

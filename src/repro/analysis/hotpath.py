@@ -65,7 +65,6 @@ HOT_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("mem/hierarchy.py", "MemoryHierarchy.data_access_packed"),
     ("mem/mshr.py", "MSHRFile.expire"),
     ("branch/perceptron.py", "PerceptronPredictor.predict"),
-    ("sim/fame.py", "fame_run"),
     # The per-instruction trace walk every cell's set-up pays.
     ("trace/generator.py", "TraceGenerator.generate"),
     # The kernel-tier entry points: the portable FAME loop and the

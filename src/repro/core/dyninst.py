@@ -58,7 +58,7 @@ class DynInst:
         "op", "pc", "addr",
         "dest_arch", "src1_arch", "src2_arch",
         "pdest", "psrc1", "psrc2", "old_pdest",
-        "state", "invalid", "replay",
+        "state", "invalid",
         "pending_srcs", "l2_counted",
         "src_inv_mask",
         "complete_cycle", "l2_miss", "mispredicted", "taken",
@@ -87,7 +87,6 @@ class DynInst:
 
         self.state = _FETCHED
         self.invalid = False        # runahead INV bit of the *result*
-        self.replay = False         # ready load deferred on a full MSHR file
         self.pending_srcs = 0
         self.l2_counted = False     # contributes to pending_l2_misses
         self.src_inv_mask = 0       # bit0/bit1: src1/src2 known-INV at dispatch

@@ -32,20 +32,3 @@ class FUPool:
         self._available[0] = self._capacity[0]
         self._available[1] = self._capacity[1]
         self._available[2] = self._capacity[2]
-
-    def next_release_cycle(self, now: int) -> int:
-        """Earliest future cycle at which a unit becomes available.
-
-        Part of the per-structure skip-horizon contract (see
-        :meth:`SMTPipeline._skip_target
-        <repro.core.pipeline.SMTPipeline._skip_target>`).  Units are
-        fully pipelined, so every budget refreshes at the next cycle
-        boundary: a pool can never stall the machine across more than
-        one cycle.  An instruction starved by an exhausted pool implies
-        another instruction issued this cycle, which already pins the
-        skip target via the activity precheck — so this horizon never
-        constrains a quiescent window in practice; it exists so the
-        contract is stated by the structure that owns it rather than
-        assumed by the pipeline.
-        """
-        return now + 1

@@ -241,6 +241,7 @@ _INLINE: Dict[Tuple[str, str], Tuple[str, object]] = {
     ("SMTPipeline._issue_load", "SMTPipeline._issue_runahead_load"):
         ("", _RA),
     ("SMTPipeline._issue_load", "SMTPipeline.schedule"): ("", 2),
+    ("SMTPipeline._issue_load", "IssueQueue.mark_ready"): ("", 1),
     ("SMTPipeline._issue_store", "SMTPipeline.schedule"): ("", 1),
     ("SMTPipeline._issue_runahead_load", "SMTPipeline.schedule"): ("", 1),
     ("SMTPipeline._issue_runahead_load", "ThreadContext.gate_fetch_until"):

@@ -33,7 +33,7 @@ from ..trace.trace import Trace
 from .dyninst import DynInst, InstState
 from .fu import FUPool
 from .hookspec import horizon_covers_on_cycle
-from .issue_queue import IssueQueue, MEMORY_WAIT
+from .issue_queue import IssueQueue
 from .regfile import PhysRegFile
 from .rename import RenameState
 from .rob import SharedROB
@@ -217,17 +217,18 @@ class SMTPipeline:
         nothing can happen until the earliest of the per-structure
         wakeup horizons :meth:`_skip_target` folds together: the next
         entry in the cycle-indexed event table, a fetch gate expiring, a
-        runahead exit falling due, the MSHR file's next fill (ready
-        loads replaying against a full file), or the policy's
+        runahead exit falling due, or the policy's
         :meth:`~repro.policies.base.FetchPolicy.skip_horizon`.
         ``self.cycle`` jumps straight there, with the per-cycle
         statistics (register-occupancy samples, runahead cycles, the
         cycle count) bulk-accounted so results are
         bit-identical to stepping every cycle (see
         ``tests/test_golden_digest.py``).  Windows *inside* a busy
-        thread are skippable too: a thread spinning on a rejected load
-        or waiting out its runahead trigger contributes a wakeup cycle
-        instead of pinning the machine to per-cycle stepping.
+        thread are skippable too: a thread waiting out its runahead
+        trigger contributes a wakeup cycle instead of pinning the
+        machine to per-cycle stepping.  A demand load retrying against a
+        full MSHR file is a live ready entry, so its replay window is
+        stepped.
 
         ``limit`` clamps the jump target (the FAME runner passes its
         ``max_cycles`` cap so truncated runs report the same cycle
@@ -270,11 +271,9 @@ class SMTPipeline:
         horizon rather than vetoing the skip outright:
 
         * the issue queues (:meth:`IssueQueue.next_ready_cycle
-          <repro.core.issue_queue.IssueQueue.next_ready_cycle>`) — a
-          live ready entry pins ``start``, unless every ready entry is a
-          demand load replaying against a full MSHR file, in which case
-          the wakeup belongs to the memory system
-          (:meth:`~repro.mem.hierarchy.MemoryHierarchy.next_fill_cycle`);
+          <repro.core.issue_queue.IssueQueue.next_ready_cycle>`) — any
+          live ready entry, a load replaying against a full MSHR file
+          included, pins ``start``;
         * per-thread fetch gates, runahead exits and runahead-entry
           eligibility at the window heads;
         * the cycle-indexed event table (completions / L2 detections),
@@ -283,30 +282,19 @@ class SMTPipeline:
           skip_horizon`.
 
         The FU pools need no clamp term here: they are fully pipelined
-        (budgets refresh next cycle, :meth:`FUPool.next_release_cycle
-        <repro.core.fu.FUPool.next_release_cycle>`), and a pool can only
-        be exhausted on a cycle that issued instructions — which the
-        activity precheck in :meth:`advance` already refuses to skip.
+        (budgets refresh next cycle), and a pool can only be exhausted
+        on a cycle that issued instructions — which the activity
+        precheck in :meth:`advance` already refuses to skip.
         """
         if self._fold_worklist:
             return start
-        memory_wait = False
         for queue in self.queues:
-            wake = queue.next_ready_cycle(start)
-            if wake is not None:
-                if wake != MEMORY_WAIT:
-                    return start        # issueable entry next cycle
-                memory_wait = True      # replaying loads; MSHRs own the wake
+            if queue.next_ready_cycle(start) is not None:
+                return start            # issueable entry next cycle
 
         bound = self._last_commit_cycle + _DEADLOCK_WINDOW + 1
         if limit is not None and limit < bound:
             bound = limit
-        if memory_wait:
-            fill = self.mem.next_fill_cycle(start)
-            if fill is None or fill <= start:
-                return start            # defensive: unknown horizon
-            if fill < bound:
-                bound = fill
         uses_runahead = self._uses_runahead
         rob_windows = self.rob._queues   # read-only peek at the heads
         buffer_size = self._fetch_buffer_size
@@ -728,8 +716,7 @@ class SMTPipeline:
                 # test.
                 available[OP_FU_BY_CODE[inst.op]] -= 1
                 # A selected entry is READY: it holds its queue entry and
-                # its ICOUNT slot, and take_ready already stripped replay
-                # deferral, so both release without a state test.
+                # its ICOUNT slot, so both release without a state test.
                 queue.size -= 1
                 per_thread[tid] -= 1
                 thread.icount -= 1
@@ -762,11 +749,10 @@ class SMTPipeline:
         packed = self.mem.data_access_packed(inst.addr, False, now,
                                              thread.tid)
         if packed < 0:
-            # Demand miss rejected by a full MSHR file: replay next cycle.
-            # The replay flag tells the fast path this entry cannot issue
-            # before the MSHRs release an entry (mem.next_fill_cycle), so
-            # the retry window is skippable instead of stepped.
-            queue.requeue(inst, replay=True)
+            # Demand miss rejected by a full MSHR file: back on the ready
+            # list to retry next cycle, which also keeps the fast path
+            # stepping until the retry succeeds.
+            queue.mark_ready(inst)
             return False
         cycle = packed >> 2
         inst.complete_cycle = cycle

@@ -221,6 +221,16 @@ class SMTProcessor:
         """Run under FAME: stop once every thread finished ``min_passes``
         full trace executions (or at the cycle cap, flagged ``truncated``).
 
+        FAME (FAirly Measuring Multithreaded Execution, Vera et al. [19])
+        keeps a multithreaded measurement from being biased by a fast
+        thread whose trace ends while a slow co-runner is still
+        mid-flight.  Threads loop their traces forever (with a per-pass
+        data shift so large working sets keep behaving like large
+        working sets, see :mod:`repro.core.thread`), and the measurement
+        stops once every thread has completed at least ``min_passes``
+        full executions, so each thread's IPC is measured under
+        continuous pressure from all its co-runners.
+
         The loop drives :meth:`SMTPipeline.advance`, so stretches where
         every thread is blocked on memory are jumped over in one go
         (event-driven cycle skipping) instead of being stepped cycle by

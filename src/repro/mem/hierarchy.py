@@ -166,17 +166,6 @@ class MemoryHierarchy:
             self._prefetched_lines.add(line)
         return (complete << 2) | 2
 
-    def next_fill_cycle(self, now: int) -> Optional[int]:
-        """Earliest future cycle at which an outstanding fill completes.
-
-        The cycle-skipping fast path uses this as the wakeup horizon for
-        issue-queue entries replaying against a full MSHR file: nothing
-        can free an entry before the first fill completes, so every cycle
-        strictly before it is provably a failed replay (see
-        :meth:`~repro.mem.mshr.MSHRFile.next_release_cycle`).
-        """
-        return self.mshr.next_release_cycle(now)
-
     def peek_data(self, addr: int) -> str:
         """Side-effect-free presence probe: 'l1', 'l2', or 'memory'.
 

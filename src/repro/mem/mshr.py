@@ -1,6 +1,6 @@
 """Miss Status Holding Registers.
 
-MSHRs track in-flight cache fills.  They serve three purposes in this
+MSHRs track in-flight cache fills.  They serve two purposes in this
 model:
 
 1. **Timing of pending lines.**  Cache arrays are filled eagerly at miss
@@ -10,12 +10,9 @@ model:
 2. **Miss merging (MLP).**  Concurrent misses to one line collapse into a
    single fill — the mechanism by which runahead prefetches overlap many
    memory accesses instead of serializing them.
-3. **A skip horizon.**  A demand load rejected by a full file replays every
-   cycle until a fill completes and frees an entry; the event-driven fast
-   path asks :meth:`next_release_cycle` for that cycle so the whole replay
-   window can be jumped over instead of stepped (see
-   :meth:`SMTPipeline._skip_target
-   <repro.core.pipeline.SMTPipeline._skip_target>`).
+
+A demand load rejected by a full file is retried by the issue stage every
+cycle until a fill completes and frees an entry.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ class MSHRFile:
         self._entries: Dict[int, Tuple[int, bool]] = {}
         #: Lazily-pruned min-heap of (ready_cycle, line_addr) mirroring
         #: ``_entries``; stale pairs (entry dropped or re-allocated with a
-        #: different ready cycle) are discarded when the heap top is read.
+        #: different ready cycle) are discarded by :meth:`expire`.
         self._release_heap: List[Tuple[int, int]] = []
         self.allocations = 0
         self.merges = 0
@@ -104,36 +101,11 @@ class MSHRFile:
 
         Stores drain through a write buffer and are never rejected, so
         their fills must be trackable even when the file is full (the
-        entry still merges later accesses and still feeds the release
-        horizon).
+        entry still merges later accesses and still expires through the
+        release heap).
         """
         self._entries[line_addr] = (ready_cycle, from_memory)
         heapq.heappush(self._release_heap, (ready_cycle, line_addr))
-
-    def next_release_cycle(self, now: int) -> Optional[int]:
-        """Earliest cycle at which the file can release an entry.
-
-        This is the first cycle a full file could accept a new demand
-        miss (``allocate`` collects completed fills before rejecting), so
-        it bounds how far the cycle-skipping fast path may jump while a
-        rejected load is replaying.  The result may be ``<= now``: a
-        fill that has already completed but not yet been collected means
-        a slot is free *immediately* (callers must not skip past such a
-        cycle).  Returns None when the file tracks no fills.  Heap pairs
-        whose entry was dropped or re-allocated are pruned here, keeping
-        the query O(log n) amortized rather than a scan of the entry
-        dict.
-        """
-        heap = self._release_heap
-        entries = self._entries
-        while heap:
-            ready, line = heap[0]
-            entry = entries.get(line)
-            if entry is None or entry[0] != ready:
-                heapq.heappop(heap)
-                continue
-            return ready
-        return None
 
     def outstanding_memory_fills(self, now: int) -> int:
         """Number of fills currently being served by main memory."""

@@ -77,9 +77,6 @@ class FetchPolicy:
         quiescent machine must clamp the skip target with its own next
         wakeup cycle — issue queues via
         :meth:`~repro.core.issue_queue.IssueQueue.next_ready_cycle`, the
-        MSHR file via
-        :meth:`~repro.mem.mshr.MSHRFile.next_release_cycle`, the FU
-        pools via :meth:`~repro.core.fu.FUPool.next_release_cycle`, the
         event table and the per-thread fetch/runahead gates inside
         ``SMTPipeline._skip_target`` — and the policy, here.  A horizon
         may be conservative (earlier than the true wakeup costs only

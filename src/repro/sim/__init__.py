@@ -1,4 +1,4 @@
-"""Measurement layer: FAME methodology, the simulation engine, and sweeps.
+"""Measurement layer: the simulation engine, result stores, and sweeps.
 
 Every simulation funnels through a pluggable :class:`SimEngine`
 (:mod:`repro.sim.engine`): a backend decides *where* cells execute
@@ -19,7 +19,6 @@ from .engine import (ExecutionReport, ProcessPoolBackend, RunIndex,
                      reference_cell, set_engine, simulate_cell)
 from .executors import (ShardSpec, ShardedExecutor, ThreadPoolBackend,
                         executor_names, get_executor)
-from .fame import fame_run
 from .manifest import CampaignManifest, ExhibitPlan, ManifestEntry
 from .results import ClassAggregate, aggregate_by_class
 from .store import (DiskStore, ExhibitRenderCache, MemoryStore,
@@ -57,7 +56,6 @@ __all__ = [
     "DiskStore",
     "ExhibitRenderCache",
     "cache_key",
-    "fame_run",
     "ClassAggregate",
     "aggregate_by_class",
     "PolicySweep",

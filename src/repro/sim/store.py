@@ -54,7 +54,7 @@ import json
 import os
 import tempfile
 import time
-from typing import Dict, Iterator, Optional
+from typing import Callable, Dict, Iterable, Iterator, Optional
 
 from ..core.processor import SimResult
 
@@ -222,6 +222,73 @@ class PruneResult:
     kept: int = 0
 
 
+def _pool_stats(root: str, entries: Iterable[CacheEntry], current_salt: str,
+                mtime_range: bool) -> Dict:
+    """Entry and byte totals of one cache pool, grouped by salt
+    (``<corrupt>`` for unreadable payloads); ``mtime_range`` adds the
+    oldest and newest entry mtimes."""
+    per_salt: Dict[str, Dict[str, int]] = {}
+    total_entries = 0
+    total_bytes = 0
+    oldest: Optional[float] = None
+    newest: Optional[float] = None
+    for entry in entries:
+        label = entry.salt if entry.salt is not None else "<corrupt>"
+        bucket = per_salt.setdefault(label, {"entries": 0, "bytes": 0})
+        bucket["entries"] += 1
+        bucket["bytes"] += entry.size_bytes
+        total_entries += 1
+        total_bytes += entry.size_bytes
+        oldest = entry.mtime if oldest is None else min(oldest, entry.mtime)
+        newest = entry.mtime if newest is None else max(newest, entry.mtime)
+    stats = {"root": root, "current_salt": current_salt,
+             "entries": total_entries, "bytes": total_bytes}
+    if mtime_range:
+        stats["oldest_mtime"] = oldest
+        stats["newest_mtime"] = newest
+    stats["by_salt"] = per_salt
+    return stats
+
+
+def _prune_pool(entries: Callable[..., Iterator[CacheEntry]],
+                current_salt: str, stale_salts: bool,
+                older_than_days: Optional[float], now: Optional[float],
+                dry_run: bool,
+                on_remove: Optional[Callable[[CacheEntry], None]] = None
+                ) -> PruneResult:
+    """Delete a pool's entries under a salt other than ``current_salt``
+    and/or older than ``older_than_days``; ``on_remove`` runs after each
+    deletion.  See :meth:`DiskStore.prune` for the arguments."""
+    if not stale_salts and older_than_days is None:
+        raise ValueError(
+            "prune needs a criterion: stale_salts and/or "
+            "older_than_days")
+    # Pruning is genuinely wall-clock maintenance (entry age), not
+    # simulation semantics; tests pin `now`.
+    reference = time.time() if now is None else now  # lint: disable=determinism-hazard
+    cutoff = (reference - older_than_days * 86400.0
+              if older_than_days is not None else None)
+    outcome = PruneResult()
+    for entry in entries(need_salt=stale_salts):
+        outcome.examined += 1
+        doomed = (stale_salts and entry.salt != current_salt) or \
+                 (cutoff is not None and entry.mtime < cutoff)
+        if not doomed:
+            outcome.kept += 1
+            continue
+        if not dry_run:
+            try:
+                os.unlink(entry.path)
+            except OSError:
+                outcome.kept += 1
+                continue
+            if on_remove is not None:
+                on_remove(entry)
+        outcome.removed += 1
+        outcome.bytes_freed += entry.size_bytes
+    return outcome
+
+
 class DiskStore(ResultStore):
     """JSON-file store under ``root``, fronted by a memory layer.
 
@@ -326,32 +393,8 @@ class DiskStore(ResultStore):
 
     def stats(self) -> Dict:
         """Aggregate store statistics, grouped by code-version salt."""
-        per_salt: Dict[str, Dict[str, int]] = {}
-        total_entries = 0
-        total_bytes = 0
-        oldest: Optional[float] = None
-        newest: Optional[float] = None
-        for entry in self.entries():
-            label = entry.salt if entry.salt is not None else "<corrupt>"
-            bucket = per_salt.setdefault(label,
-                                         {"entries": 0, "bytes": 0})
-            bucket["entries"] += 1
-            bucket["bytes"] += entry.size_bytes
-            total_entries += 1
-            total_bytes += entry.size_bytes
-            oldest = entry.mtime if oldest is None \
-                else min(oldest, entry.mtime)
-            newest = entry.mtime if newest is None \
-                else max(newest, entry.mtime)
-        return {
-            "root": self.root,
-            "current_salt": CODE_VERSION_SALT,
-            "entries": total_entries,
-            "bytes": total_bytes,
-            "oldest_mtime": oldest,
-            "newest_mtime": newest,
-            "by_salt": per_salt,
-        }
+        return _pool_stats(self.root, self.entries(), CODE_VERSION_SALT,
+                           mtime_range=True)
 
     def prune(self, stale_salts: bool = False,
               older_than_days: Optional[float] = None,
@@ -372,33 +415,10 @@ class DiskStore(ResultStore):
         An entry is removed when it matches *any* enabled criterion.
         At least one criterion must be enabled.
         """
-        if not stale_salts and older_than_days is None:
-            raise ValueError(
-                "prune needs a criterion: stale_salts and/or "
-                "older_than_days")
-        # Pruning is genuinely wall-clock maintenance (entry age), not
-        # simulation semantics; tests pin `now`.
-        reference = time.time() if now is None else now  # lint: disable=determinism-hazard
-        cutoff = (reference - older_than_days * 86400.0
-                  if older_than_days is not None else None)
-        outcome = PruneResult()
-        for entry in self.entries(need_salt=stale_salts):
-            outcome.examined += 1
-            doomed = (stale_salts and entry.salt != CODE_VERSION_SALT) or \
-                     (cutoff is not None and entry.mtime < cutoff)
-            if not doomed:
-                outcome.kept += 1
-                continue
-            if not dry_run:
-                try:
-                    os.unlink(entry.path)
-                except OSError:
-                    outcome.kept += 1
-                    continue
-                self._memory.pop(entry.key, None)
-            outcome.removed += 1
-            outcome.bytes_freed += entry.size_bytes
-        return outcome
+        return _prune_pool(
+            self.entries, CODE_VERSION_SALT, stale_salts, older_than_days,
+            now, dry_run,
+            on_remove=lambda entry: self._memory.pop(entry.key, None))
 
     def _save(self, key: str, result: SimResult) -> None:
         # Persisting is best-effort: the result is already in hand (and
@@ -506,24 +526,8 @@ class ExhibitRenderCache:
 
     def stats(self) -> Dict:
         """Aggregate render-pool statistics, grouped by render salt."""
-        per_salt: Dict[str, Dict[str, int]] = {}
-        total_entries = 0
-        total_bytes = 0
-        for entry in self.entries():
-            label = entry.salt if entry.salt is not None else "<corrupt>"
-            bucket = per_salt.setdefault(label,
-                                         {"entries": 0, "bytes": 0})
-            bucket["entries"] += 1
-            bucket["bytes"] += entry.size_bytes
-            total_entries += 1
-            total_bytes += entry.size_bytes
-        return {
-            "root": self.root,
-            "current_salt": EXHIBIT_RENDER_SALT,
-            "entries": total_entries,
-            "bytes": total_bytes,
-            "by_salt": per_salt,
-        }
+        return _pool_stats(self.root, self.entries(), EXHIBIT_RENDER_SALT,
+                           mtime_range=False)
 
     def prune(self, stale_salts: bool = False,
               older_than_days: Optional[float] = None,
@@ -535,30 +539,5 @@ class ExhibitRenderCache:
         against ``EXHIBIT_RENDER_SALT`` (corrupt payloads count as
         stale — they can never hit).
         """
-        if not stale_salts and older_than_days is None:
-            raise ValueError(
-                "prune needs a criterion: stale_salts and/or "
-                "older_than_days")
-        # Pruning is genuinely wall-clock maintenance (entry age), not
-        # simulation semantics; tests pin `now`.
-        reference = time.time() if now is None else now  # lint: disable=determinism-hazard
-        cutoff = (reference - older_than_days * 86400.0
-                  if older_than_days is not None else None)
-        outcome = PruneResult()
-        for entry in self.entries(need_salt=stale_salts):
-            outcome.examined += 1
-            doomed = \
-                (stale_salts and entry.salt != EXHIBIT_RENDER_SALT) or \
-                (cutoff is not None and entry.mtime < cutoff)
-            if not doomed:
-                outcome.kept += 1
-                continue
-            if not dry_run:
-                try:
-                    os.unlink(entry.path)
-                except OSError:
-                    outcome.kept += 1
-                    continue
-            outcome.removed += 1
-            outcome.bytes_freed += entry.size_bytes
-        return outcome
+        return _prune_pool(self.entries, EXHIBIT_RENDER_SALT, stale_salts,
+                           older_than_days, now, dry_run)

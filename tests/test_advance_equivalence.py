@@ -12,7 +12,7 @@ The matrix is deterministic (seeded RNG) so failures reproduce; the
 workloads always include at least one MEM-class benchmark so L2-miss
 machinery (runahead episodes, MSHR pressure, policy gating) is actually
 exercised.  A second pass shrinks the MSHR file to force rejected-load
-replay windows — the intra-thread skip case.
+replay windows, which the fast path must step.
 
 Thread counts beyond the 1/2/4 baseline shape (3, 5, 6 and 8 — the
 non-power-of-two rotation paths, up to the kernel tier's
@@ -121,8 +121,8 @@ def test_advance_matches_step(kernel_tier, threads, policy, benchmarks,
 
 @pytest.mark.parametrize("policy", ["icount", "stall", "rat"])
 def test_advance_matches_step_under_mshr_pressure(kernel_tier, policy):
-    """A tiny MSHR file forces rejected-load replay windows, the case the
-    intra-thread (memory-wait) skip horizon covers."""
+    """A tiny MSHR file forces rejected-load replay windows: each
+    replaying load is a live ready entry, so the fast path steps them."""
     benchmarks = ("art", "mcf")
     stepped, step_pipe = _run(kernel_tier, policy, benchmarks, 400, 7,
                               False, mshr_entries=2)

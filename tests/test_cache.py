@@ -138,52 +138,11 @@ class TestMSHR:
         with pytest.raises(ValueError):
             MSHRFile(0)
 
-
-class TestMSHRReleaseHorizon:
-    """next_release_cycle: the file's term in the skip-horizon contract."""
-
-    def test_empty_file_has_no_horizon(self):
-        mshr = MSHRFile(4)
-        assert mshr.next_release_cycle(0) is None
-
-    def test_earliest_fill_wins(self):
-        mshr = MSHRFile(4)
-        mshr.allocate(1, 400, True, 0)
-        mshr.allocate(2, 50, False, 0)
-        mshr.allocate(3, 100, True, 0)
-        assert mshr.next_release_cycle(0) == 50
-
-    def test_completed_but_uncollected_fill_reports_past_cycle(self):
-        # A fill whose ready cycle has passed means a slot is free NOW;
-        # the horizon must not hide it behind a later fill (skipping past
-        # that cycle would delay a replaying load's successful retry).
-        mshr = MSHRFile(2)
-        mshr.allocate(1, 10, True, 0)
-        mshr.allocate(2, 400, True, 0)
-        assert mshr.next_release_cycle(10) == 10
-
-    def test_stale_heap_pairs_are_pruned(self):
-        mshr = MSHRFile(4)
-        mshr.allocate(1, 30, True, 0)
-        mshr.allocate(2, 60, True, 0)
-        mshr.expire(40)                      # drops line 1
-        assert mshr.next_release_cycle(40) == 60
-        assert mshr.pending(2, 70) is None   # resolves line 2
-        assert mshr.next_release_cycle(70) is None
-
-    def test_reallocated_line_uses_new_ready_cycle(self):
-        mshr = MSHRFile(4)
-        mshr.allocate(1, 10, True, 0)
-        mshr.expire(20)
-        mshr.allocate(1, 90, True, 20)
-        assert mshr.next_release_cycle(20) == 90
-
     def test_force_registers_past_capacity(self):
         mshr = MSHRFile(1)
         mshr.allocate(1, 100, True, 0)
         mshr.force(2, 60)                    # store write-buffer path
         assert len(mshr) == 2
-        assert mshr.next_release_cycle(0) == 60
         assert mshr.pending(2, 10) == (60, True)
 
     def test_expire_collects_all_due_fills(self):
@@ -192,7 +151,7 @@ class TestMSHRReleaseHorizon:
             mshr.allocate(line, 10 + line, True, 0)
         mshr.expire(12)
         assert len(mshr) == 2
-        assert mshr.next_release_cycle(12) == 13
+        assert mshr.pending(3, 12) == (13, True)
 
 
 class TestHierarchy:

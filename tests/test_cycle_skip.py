@@ -4,9 +4,10 @@ The golden-digest suite proves bit-identity on its matrix; these tests
 pin the *mechanics*: that idle windows are actually jumped over, that
 the deadlock guard fires at the exact cycle the per-cycle model would
 have raised it, that runahead exits scheduled inside a skipped window
-are honored on time, that the FAME cycle cap clamps the jump target,
-and that unknown policies with per-cycle behaviour disable the fast
-path instead of risking divergence.
+are honored on time, that no jump starts while an issue-queue entry is
+ready, that the FAME cycle cap clamps the jump target, and that unknown
+policies with per-cycle behaviour disable the fast path instead of
+risking divergence.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import baseline
+from repro.core.dyninst import InstState
 from repro.core.pipeline import _DEADLOCK_WINDOW, SMTPipeline
 from repro.core.processor import SMTProcessor
 from repro.errors import DeadlockError
@@ -131,33 +133,49 @@ class TestRunaheadAcrossSkip:
 
 
 class TestMemoryWaitAcrossSkip:
-    """Intra-thread skipping: ready loads replaying on a full MSHR file.
+    """Ready loads replaying on a full MSHR file.
 
-    A rejected demand load stays READY and retries every stepped cycle;
-    the per-structure horizons (IssueQueue.next_ready_cycle +
-    MemoryHierarchy.next_fill_cycle) let the fast path jump the whole
-    replay window instead of stepping it.
+    A rejected demand load goes back on its queue's ready list and
+    retries every cycle.  Like any live ready entry it pins the skip
+    target, so the fast path steps the replay window.
     """
 
     def test_replay_window_is_skipped_bit_identically(self):
         outcomes = run_pair("icount", trace_len=800, mshr_entries=2)
         stepped, stepped_pipeline = outcomes[False]
-        skipped, skipping_pipeline = outcomes[True]
+        skipped, _ = outcomes[True]
         # Premise: the shrunken file actually rejected demand loads.
         assert stepped_pipeline.mem.mshr.rejects > 0
-        assert skipping_pipeline.skipped_cycles > 0
         assert skipped.to_dict() == stepped.to_dict()
 
-    def test_skipping_elides_replay_attempts(self):
-        # The stepped model retries the rejected load every idle cycle;
-        # the fast path jumps those cycles, so it must record strictly
-        # fewer rejected attempts while producing the same SimResult
-        # (reject counts are diagnostics, not part of SimResult).
-        outcomes = run_pair("icount", trace_len=800, mshr_entries=2)
-        stepped_rejects = outcomes[False][1].mem.mshr.rejects
-        skipping_rejects = outcomes[True][1].mem.mshr.rejects
-        assert outcomes[True][1].skipped_cycles > 0
-        assert skipping_rejects < stepped_rejects
+    @pytest.mark.parametrize("policy, config_overrides", [
+        ("icount", {"mshr_entries": 2}),
+        ("stall", {}),
+    ], ids=["icount-mshr2", "stall"])
+    def test_no_jump_while_an_entry_is_ready(self, policy,
+                                             config_overrides):
+        config = baseline().with_policy(policy, **config_overrides)
+        traces = [generate_trace(name, 800, 1) for name in ("art", "mcf")]
+        processor = SMTProcessor(config, traces)
+        pipeline = processor.pipeline
+        skip_to = pipeline._skip_to
+
+        def checked_skip_to(start, target):
+            ready = [inst for queue in pipeline.queues
+                     for inst in queue._ready
+                     if inst.state == InstState.READY]
+            assert not ready, (
+                f"jump {start} -> {target} over ready entries {ready}")
+            skip_to(start, target)
+
+        pipeline._skip_to = checked_skip_to
+        processor.run()
+        if config_overrides:
+            # Premise: the shrunken file rejected demand loads.
+            assert pipeline.mem.mshr.rejects > 0
+        else:
+            # Not vacuous: the default-size cell still jumps.
+            assert pipeline.skip_jumps > 0
 
     def test_rat_under_mshr_pressure_matches(self):
         outcomes = run_pair("rat", trace_len=800, mshr_entries=4)

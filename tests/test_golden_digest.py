@@ -40,9 +40,9 @@ DATA_PATH = os.path.join(os.path.dirname(__file__), "data",
 #: per-cycle behaviour (dcra / hill / mlp exercise the skip-horizon
 #: logic; rat exercises runahead entry/exit across skips; the truncated
 #: cell pins the max-cycles clamp).  The ``-mshr`` cells shrink the MSHR
-#: file so rejected-load replay windows occur densely, pinning the
-#: intra-thread (memory-wait) skip horizon introduced after the original
-#: 14-cell matrix was recorded.
+#: file so rejected-load replay windows occur densely; the fast path
+#: steps those windows (a replaying load is a live ready entry), and the
+#: cells pin that stepping bit for bit.
 GOLDEN_CELLS = {
     "single-mcf-icount": ("SINGLE", ("mcf",), "icount", 600, 3, 2_000_000),
     "mem2-icount": ("MEM2", ("art", "mcf"), "icount", 600, 1, 2_000_000),

@@ -7,7 +7,7 @@ import pytest
 from repro.config import baseline
 from repro.core.dyninst import DynInst, InstState
 from repro.core.fu import FUPool
-from repro.core.issue_queue import IssueQueue, MEMORY_WAIT
+from repro.core.issue_queue import IssueQueue
 from repro.core.pipeline import SMTPipeline
 from repro.core.rob import SharedROB
 from repro.isa import FUKind, OP_FU_BY_CODE, OpClass
@@ -129,10 +129,16 @@ class TestIssueQueue:
         assert queue.take_ready(4) == [live]
 
     def test_requeue(self):
-        queue = IssueQueue("int", 8, 1)
-        inst = _inst()
+        # A selected load rejected by a full MSHR file is re-queued with
+        # mark_ready: it pins the skip planner and is selected again.
+        queue = IssueQueue("ls", 8, 1)
+        inst = _inst(op=OpClass.LOAD)
         inst.state = InstState.READY
-        queue.requeue(inst)
+        queue.mark_ready(inst)
+        assert queue.take_ready(1) == [inst]
+        assert queue.next_ready_cycle(5) is None
+        queue.mark_ready(inst)
+        assert queue.next_ready_cycle(6) == 6
         assert queue.take_ready(1) == [inst]
 
 
@@ -149,50 +155,6 @@ class TestNextReadyCycle:
         inst.state = InstState.READY
         queue.mark_ready(inst)
         assert queue.next_ready_cycle(100) == 100
-
-    def test_replay_only_defers_to_memory(self):
-        queue = IssueQueue("ls", 8, 1)
-        inst = _inst(op=OpClass.LOAD)
-        inst.state = InstState.READY
-        queue.insert(inst)
-        queue.requeue(inst, replay=True)
-        assert inst.replay
-        assert queue.next_ready_cycle(100) == MEMORY_WAIT
-
-    def test_mixed_ready_and_replay_pins_now(self):
-        queue = IssueQueue("ls", 8, 2)
-        replaying = _inst(tid=0, gseq=0, op=OpClass.LOAD)
-        replaying.state = InstState.READY
-        queue.insert(replaying)
-        queue.requeue(replaying, replay=True)
-        issueable = _inst(tid=1, gseq=1)
-        issueable.state = InstState.READY
-        queue.mark_ready(issueable)
-        assert queue.next_ready_cycle(7) == 7
-
-    def test_take_ready_sheds_replay_deferral(self):
-        queue = IssueQueue("ls", 8, 1)
-        inst = _inst(op=OpClass.LOAD)
-        inst.state = InstState.READY
-        queue.insert(inst)
-        queue.requeue(inst, replay=True)
-        selected = queue.take_ready(4)
-        assert selected == [inst]
-        assert not inst.replay
-        assert queue._replay_blocked == 0
-
-    def test_remove_clears_replay_accounting(self):
-        # A replaying load squashed while waiting must not leave the
-        # queue claiming a memory wait forever.
-        queue = IssueQueue("ls", 8, 1)
-        inst = _inst(op=OpClass.LOAD)
-        inst.state = InstState.READY
-        queue.insert(inst)
-        queue.requeue(inst, replay=True)
-        inst.state = InstState.SQUASHED
-        queue.remove(inst)
-        assert queue._replay_blocked == 0
-        assert queue.next_ready_cycle(3) is None
 
     def test_stale_only_list_is_cleared(self):
         queue = IssueQueue("int", 8, 1)
@@ -240,14 +202,6 @@ class TestFUPool:
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError):
             FUPool(0, 1, 1)
-
-    def test_next_release_is_next_cycle(self):
-        # Fully-pipelined pools refresh every budget at the next cycle
-        # boundary; the horizon must say so regardless of current usage.
-        pool = FUPool(1, 1, 1)
-        assert pool.next_release_cycle(41) == 42
-        pool._available[FUKind.INT] = 0
-        assert pool.next_release_cycle(41) == 42
 
 
 def _pipeline(int_units):

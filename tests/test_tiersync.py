@@ -354,8 +354,8 @@ def test_unknown_rule_exits_2_and_lists_rules(capsys):
 def test_accept_fingerprints_names_repinned_modules(package_copy, capsys):
     # A semantic edit in exactly one salt-scoped module:
     _edit(package_copy, "core/fu.py",
-          "def next_release_cycle(self, now: int) -> int:",
-          "def next_release_cycle(self, now: int, _w: int = 0) -> int:")
+          "def new_cycle(self) -> None:",
+          "def new_cycle(self, _w: int = 0) -> None:")
     assert lint_main(["--root", package_copy, "--rules",
                       "salt-fingerprint", "--accept-fingerprints"]) == 0
     out = capsys.readouterr().out
