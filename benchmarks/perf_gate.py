@@ -12,13 +12,14 @@ the base checkout (side ``parent``) and once in this one (side
 side that runs first alternates from pair to pair, and pair ``i`` runs
 seed ``i`` on both sides, so a pair's two runs simulate the same cells.
 
-The verdict takes each pair's ``sim_kips`` ratio, change / parent, and
-its median per workload, so one noisy pair can neither fail nor pass
-the gate.  Exit status:
+The verdict takes each pair's ``sim_kips`` and ``peak_rss_mib`` ratios,
+change / parent, and their medians per workload, so one noisy pair can
+neither fail nor pass the gate.  Exit status:
 
-* 0: every median ratio is at least ``1 - TOLERANCE`` and every run
-  passed;
-* 1: a median ratio is below that, or a change-side run failed: it
+* 0: every median ``sim_kips`` ratio is at least ``1 - TOLERANCE``,
+  every median ``peak_rss_mib`` ratio at most ``1 + RSS_TOLERANCE``, and
+  every run passed;
+* 1: a median ratio is past its limit, or a change-side run failed: it
   exited non-zero, reported ``"correct": false``, or failed more
   operations than its paired parent run;
 * 2: a parent-side run failed, so the change has nothing to be
@@ -66,6 +67,17 @@ SECONDS = 1
 #: one noisy pair away from failing.  A ~1.3x slowdown per fetched
 #: instruction read a rat-mem4 median of 0.774 (0.722-0.865) and failed.
 TOLERANCE = 0.15
+RSS_METRIC = "peak_rss_mib"
+#: The 48 pairs of benchmarks/AB_perf_gate.jsonl read per-pair
+#: peak_rss_mib ratios of 0.985-1.015, and each gate run's median
+#: 0.992-1.002, so a 3% rise in the median is no run's noise; holding
+#: each trace in three forms instead of one read about 1.07 on
+#: stall-mem2.
+RSS_TOLERANCE = 0.03
+#: Each gated metric: (name, worst median ratio allowed, which side of
+#: that limit fails).
+LIMITS = ((METRIC, 1.0 - TOLERANCE, "floor"),
+          (RSS_METRIC, 1.0 + RSS_TOLERANCE, "ceiling"))
 
 
 def run_side(root: str, side: str, workload: str, seed: int,
@@ -126,7 +138,7 @@ def verdict(rows: Sequence[Dict]) -> Tuple[int, List[str]]:
     """Exit status (0 pass, 1 fail, 2 error) and its reasons."""
     errors: List[str] = []
     failures: List[str] = []
-    ratios: Dict[str, List[float]] = {}
+    ratios: Dict[Tuple[str, str], List[float]] = {}
     for (workload, seed), sides in pairs(rows):
         parent, change = sides["parent"], sides["change"]
         if not _passed(parent):
@@ -142,37 +154,45 @@ def verdict(rows: Sequence[Dict]) -> Tuple[int, List[str]]:
                             f"{change['failed']} of {change['attempted']} "
                             f"operations, the parent {parent['failed']}")
         else:
-            ratios.setdefault(workload, []).append(
-                change["metrics"][METRIC] / parent["metrics"][METRIC])
+            for metric, _limit, _side in LIMITS:
+                ratios.setdefault((workload, metric), []).append(
+                    change["metrics"][metric] / parent["metrics"][metric])
     if errors:
         return 2, errors
-    floor = 1.0 - TOLERANCE
     summary = []
-    for workload, values in sorted(ratios.items()):
-        median = statistics.median(values)
-        line = (f"{workload}: median {METRIC} ratio {median:.3f} over "
-                f"{len(values)} pairs (range {min(values):.3f}-"
-                f"{max(values):.3f}, floor {floor:.2f})")
-        if median < floor:
-            failures.append(line)
-        else:
-            summary.append(line)
+    for workload in sorted({workload for workload, _metric in ratios}):
+        for metric, limit, side in LIMITS:
+            values = ratios[workload, metric]
+            median = statistics.median(values)
+            line = (f"{workload}: median {metric} ratio {median:.3f} over "
+                    f"{len(values)} pairs (range {min(values):.3f}-"
+                    f"{max(values):.3f}, {side} {limit:.2f})")
+            if median < limit if side == "floor" else median > limit:
+                failures.append(line)
+            else:
+                summary.append(line)
     if failures:
         return 1, failures
     return 0, summary
 
 
 def table(rows: Sequence[Dict]) -> List[str]:
-    """The per-pair ``sim_kips`` table."""
+    """The per-pair ``sim_kips`` table, with the ``peak_rss_mib`` ratio."""
     lines = [f"{'pair':>4}  {'workload':<10}  {'first':<6}  "
-             f"{'parent':>8}  {'change':>8}  {'ratio':>6}"]
+             f"{'parent':>8}  {'change':>8}  {'ratio':>6}  {'rss':>6}"]
     for (workload, seed), sides in pairs(rows):
         first = min(sides.values(), key=lambda row: row["run_order"])
-        kips = [sides[side]["metrics"].get(METRIC, 0.0)
-                for side in ("parent", "change")]
-        ratio = f"{kips[1] / kips[0]:6.3f}" if kips[0] else f"{'-':>6}"
+        parent, change = (sides[side]["metrics"]
+                          for side in ("parent", "change"))
+        ratios = []
+        for metric in (METRIC, RSS_METRIC):
+            before = parent.get(metric, 0.0)
+            ratios.append(f"{change.get(metric, 0.0) / before:6.3f}"
+                          if before else f"{'-':>6}")
         lines.append(f"{seed:>4}  {workload:<10}  {first['side']:<6}  "
-                     f"{kips[0]:8.2f}  {kips[1]:8.2f}  {ratio}")
+                     f"{parent.get(METRIC, 0.0):8.2f}  "
+                     f"{change.get(METRIC, 0.0):8.2f}  {ratios[0]}  "
+                     f"{ratios[1]}")
     return lines
 
 

@@ -96,19 +96,13 @@ class SMTPipeline:
         self.fus = FUPool(config.int_units, config.fp_units,
                           config.ldst_units)
         self.mem = MemoryHierarchy(config, self.num_threads)
-        # I-cache line index as a shift when line size is a power of two
-        # (the fetch loop computes it per instruction); -1 falls back to
-        # division.
-        iline = config.icache.line_bytes
-        self._iline_shift = (iline.bit_length() - 1
-                             if iline & (iline - 1) == 0 else -1)
         #: Hot config scalars, hoisted once (SMTConfig is treated as
         #: immutable after construction): these are read per cycle or per
         #: instruction in the stage loops.
         self._width = config.width
         self._fetch_threads = config.fetch_threads
         self._fetch_buffer_size = config.fetch_buffer_size
-        self._iline_bytes = iline
+        self._iline_bytes = config.icache.line_bytes
         self._icache_latency = config.icache.latency
         self._dcache_latency = config.dcache.latency
         self._l2_detect_latency = config.dcache.latency + config.l2.latency
@@ -175,18 +169,6 @@ class SMTPipeline:
         # Avoid a no-op bound-method call per cycle for the many policies
         # that never override on_cycle.
         self._policy_on_cycle = policy.on_cycle if overrides_on_cycle else None
-
-        # The per-thread fetch address columns (thread-offset PC and its
-        # i-cache line) are precomputed — numpy vector ops, then one list
-        # per thread — so the fetch loop does a plain subscript instead of
-        # an add and a shift per fetched instruction.
-        shift = self._iline_shift
-        for thread in self.threads:
-            pcs_off = thread.trace.pc + thread.code_offset
-            lines = (pcs_off >> shift if shift >= 0
-                     else pcs_off // self._iline_bytes)
-            thread.pcs_off = pcs_off.tolist()
-            thread.fetch_lines = lines.tolist()
 
     # ------------------------------------------------------------------ cycle
 
@@ -1017,10 +999,12 @@ class SMTPipeline:
         # Trace columns and address math, hoisted out of the loop that
         # materializes every dynamic instruction in the simulation.  The
         # mode is stable within a fetch block: runahead entry/exit happen
-        # at commit.  ``pcs_off``/``fetch_lines`` carry the thread's code
-        # offset and the i-cache line index pre-folded (see __init__).
-        pcs_off = thread.pcs_off
-        lines = thread.fetch_lines
+        # at commit.  The columns are the trace's own, shared by every
+        # thread running it, so the thread's code offset and the i-cache
+        # line are computed per row.
+        pcs = thread.pcs
+        code_offset = thread.code_offset
+        line_bytes = self._iline_bytes
         ops = thread.ops
         dests = thread.dests
         src1s = thread.src1s
@@ -1034,16 +1018,16 @@ class SMTPipeline:
         append = fetch_queue.append
         ifetch_packed = self.mem.ifetch_packed
         while count < limit:
-            line = lines[cursor]
+            pc = pcs[cursor] + code_offset
+            line = pc // line_bytes
             if line != thread.fetch_line:
-                complete = ifetch_packed(pcs_off[cursor], now, tid,
+                complete = ifetch_packed(pc, now, tid,
                                          speculative=in_runahead) >> 2
                 thread.fetch_line = line
                 if complete > icache_done:
                     thread.block_fetch_until(complete)
                     break
             # The trace row at the cursor becomes a dynamic instruction.
-            pc = pcs_off[cursor]
             pass_no = thread.pass_no
             inst = DynInst(
                 tid, gseq, cursor, pass_no,

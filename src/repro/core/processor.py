@@ -160,9 +160,8 @@ class SMTProcessor:
         predict = pipeline.predictor.predict
         l2_bytes = self.config.l2.size_bytes
         line_shift = self.config.l2.line_bytes.bit_length() - 1
+        iline_bytes = self.config.icache.line_bytes
         for thread in pipeline.threads:
-            # The thread's plain-list trace views (see ThreadContext):
-            # iterating the numpy columns would box a scalar per element.
             addrs = [addr for op, addr in zip(thread.ops, thread.addrs)
                      if IS_MEM_BY_CODE[op]]
             if thread.data_region > 0.75 * l2_bytes:
@@ -177,12 +176,15 @@ class SMTProcessor:
                 addrs = [addr for addr, line in zip(addrs, lines)
                          if last[line] - first[line] >= span_needed]
             mem.warm_data([thread.physical_addr(addr, 0) for addr in addrs])
+            code_offset = thread.code_offset
             last_line = -1
             line_pcs = []
             branches = []
-            for pc, line, op, taken in zip(thread.pcs_off,
-                                           thread.fetch_lines, thread.ops,
-                                           thread.takens):
+            for pc, op, taken in zip(thread.pcs, thread.ops, thread.takens):
+                # The thread's fetch address and its i-cache line, as
+                # computed by the fetch loop.
+                pc += code_offset
+                line = pc // iline_bytes
                 if line != last_line:
                     line_pcs.append(pc)
                     last_line = line

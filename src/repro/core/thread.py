@@ -9,18 +9,20 @@ live in the pipeline.
 Address spaces
 --------------
 Threads in a multiprogrammed workload share nothing: each thread's code and
-data addresses are offset into a private segment.  Data addresses are
-additionally shifted by a per-pass offset within the benchmark's working
-set, so that looping a trace (the FAME measurement methodology re-executes
-traces) keeps touching fresh lines when the working set exceeds the caches
-instead of artificially re-hitting the first pass's footprint.
+data addresses are offset into a private segment.  The offsets are applied
+as fetch and warm-up read the trace, so threads running one trace share
+its columns.  Data addresses are additionally shifted by a per-pass offset
+within the benchmark's working set, so that looping a trace (the FAME
+measurement methodology re-executes traces) keeps touching fresh lines
+when the working set exceeds the caches instead of artificially
+re-hitting the first pass's footprint.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, List, Set
+from typing import Deque, Set
 
 from ..isa import NUM_ARCH_REGS
 from ..trace.trace import Trace
@@ -58,7 +60,6 @@ class ThreadContext:
         "arch_inv",
         "pending_l2_misses", "finished_passes",
         "data_base", "code_offset", "data_region",
-        "pcs_off", "fetch_lines",
     )
 
     def __init__(self, tid: int, trace: Trace, rename: RenameState,
@@ -66,9 +67,15 @@ class ThreadContext:
         self.tid = tid
         self.trace = trace
         self.rename = rename
-        # Hot per-instruction fetch views (plain lists, shared per trace).
-        (self.ops, self.dests, self.src1s, self.src2s,
-         self.addrs, self.takens, self.pcs) = trace.hot_columns()
+        # The trace's own columns, bound for the fetch loop: every thread
+        # and every FAME pass reads the one copy of each.
+        self.ops = trace.op
+        self.dests = trace.dest
+        self.src1s = trace.src1
+        self.src2s = trace.src2
+        self.addrs = trace.addr
+        self.takens = trace.taken
+        self.pcs = trace.pc
         self._pass_stride = PASS_STRIDE_BYTES if pass_shift else 0
         self.mode = ThreadMode.NORMAL
         self.stats = ThreadStats()
@@ -103,14 +110,6 @@ class ThreadContext:
         self.data_base = DATA_BASE + tid * THREAD_DATA_SPACING
         self.code_offset = tid * THREAD_CODE_SPACING
         self.data_region = max(64, trace.data_region_bytes)
-
-        #: Fetch address columns with the thread's code offset folded in,
-        #: and the i-cache line index of each row.  Filled by the pipeline
-        #: at construction (it owns the i-cache geometry); the fetch loop
-        #: then subscripts instead of recomputing ``pc + offset`` and the
-        #: line shift per instruction.
-        self.pcs_off: List[int] = self.pcs
-        self.fetch_lines: List[int] = []
 
     # --- trace-driven fetch -----------------------------------------------------
 

@@ -44,12 +44,7 @@ class MemStats:
     """Per-thread memory statistics."""
 
     loads: int = 0
-    stores: int = 0
-    ifetches: int = 0
-    l1d_misses: int = 0
-    l1i_misses: int = 0
     l2_misses: int = 0
-    merges: int = 0
     prefetches: int = 0
     useful_prefetches: int = 0
 
@@ -117,9 +112,7 @@ class MemoryHierarchy:
         stats = self.stats[thread_id]
         if speculative:
             stats.prefetches += 1
-        elif is_store:
-            stats.stores += 1
-        else:
+        elif not is_store:
             stats.loads += 1
 
         dcache = self.dcache
@@ -128,7 +121,6 @@ class MemoryHierarchy:
         entry = mshr.pending(line, now)
         if entry is not None:
             ready, from_memory = entry
-            stats.merges += 1
             l1_done = now + dcache.latency
             complete = ready if ready > l1_done else l1_done
             return (complete << 2) | (2 if from_memory else 0) | 1
@@ -139,7 +131,6 @@ class MemoryHierarchy:
                 stats.useful_prefetches += 1
             return (now + dcache.latency) << 2
 
-        stats.l1d_misses += 1
         probe_done = now + dcache.latency
         if self.l2.lookup(line):
             if not speculative and line in self._prefetched_lines:
@@ -198,20 +189,16 @@ class MemoryHierarchy:
         as :meth:`data_access_packed`; instruction fetches are never
         rejected, so -1 does not occur.
         """
-        stats = self.stats[thread_id]
-        stats.ifetches += 1
         icache = self.icache
         line = icache.line_of(pc)
         entry = self.mshr.pending(line, now)
         if entry is not None:
             ready, from_memory = entry
-            stats.merges += 1
             l1_done = now + icache.latency
             complete = ready if ready > l1_done else l1_done
             return (complete << 2) | (2 if from_memory else 0) | 1
         if icache.lookup(line):
             return (now + icache.latency) << 2
-        stats.l1i_misses += 1
         probe_done = now + self.icache.latency
         if self.l2.lookup(line):
             complete = probe_done + self.l2.latency
@@ -219,7 +206,7 @@ class MemoryHierarchy:
             self.mshr.allocate(line, complete, False, now)
             return complete << 2
         complete = probe_done + self.l2.latency + self.memory_latency
-        stats.l2_misses += 1
+        self.stats[thread_id].l2_misses += 1
         self.icache.fill(line)
         self.l2.fill(line)
         self.mshr.allocate(line, complete, True, now)

@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Tuple
 class MSHRFile:
     """Outstanding-fill tracker with bounded capacity."""
 
-    __slots__ = ("capacity", "_entries", "_release_heap", "allocations",
-                 "merges", "rejects")
+    __slots__ = ("capacity", "_entries", "_release_heap", "merges",
+                 "rejects")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -37,7 +37,6 @@ class MSHRFile:
         #: ``_entries``; stale pairs (entry dropped or re-allocated with a
         #: different ready cycle) are discarded by :meth:`expire`.
         self._release_heap: List[Tuple[int, int]] = []
-        self.allocations = 0
         self.merges = 0
         self.rejects = 0
 
@@ -90,7 +89,6 @@ class MSHRFile:
             if len(self._entries) >= self.capacity:
                 self.rejects += 1
                 return False
-        self.allocations += 1
         self._entries[line_addr] = (ready_cycle, from_memory)
         heapq.heappush(self._release_heap, (ready_cycle, line_addr))
         return True

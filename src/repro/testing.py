@@ -11,8 +11,6 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-import numpy as np
-
 from .config import CacheConfig, SMTConfig
 from .isa import NO_REG, OpClass
 from .trace.trace import Trace
@@ -109,15 +107,11 @@ class TraceBuilder:
         count = len(self.rows)
         if count == 0:
             raise ValueError("empty trace")
+        ops, dests, src1s, src2s, addrs, takens = zip(*self.rows)
         columns = {
-            "op": np.array([row[0] for row in self.rows], dtype=np.int8),
-            "dest": np.array([row[1] for row in self.rows], dtype=np.int16),
-            "src1": np.array([row[2] for row in self.rows], dtype=np.int16),
-            "src2": np.array([row[3] for row in self.rows], dtype=np.int16),
-            "addr": np.array([row[4] for row in self.rows], dtype=np.int64),
-            "taken": np.array([row[5] for row in self.rows], dtype=np.bool_),
-            "pc": np.array([self.base_pc + 4 * index
-                            for index in range(count)], dtype=np.int64),
+            "op": ops, "dest": dests, "src1": src1s, "src2": src2s,
+            "addr": addrs, "taken": takens,
+            "pc": range(self.base_pc, self.base_pc + 4 * count, 4),
         }
         return Trace(self.name, columns,
                      data_region_bytes=self.data_region)

@@ -156,8 +156,9 @@ class TraceGenerator:
 
         The walk is the per-instruction cost of every cell's set-up, so it
         runs on locals: bound RNG methods, int op codes, plain-list
-        columns converted once by :class:`Trace`.  Every RNG call, its
-        arguments and its order are part of the trace's identity — the
+        columns that :class:`Trace` freezes into the tuples every thread
+        running the trace shares.  Every RNG call, its arguments and its
+        order are part of the trace's identity — the
         ``tests/data/trace_digests.json`` pins check them.
         """
         p = self.profile

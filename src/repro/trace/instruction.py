@@ -1,8 +1,9 @@
 """A single decoded trace record.
 
-Traces are stored column-wise in numpy arrays (see :class:`repro.trace.trace.Trace`);
-:class:`TraceInstruction` is the row view used at package boundaries — tests,
-examples, and debugging — not in the simulator's hot path.
+Traces are stored column-wise as tuples of ints (see
+:class:`repro.trace.trace.Trace`); :class:`TraceInstruction` is the row
+view used at package boundaries — tests, examples, and debugging — not in
+the simulator's hot path.
 """
 
 from __future__ import annotations

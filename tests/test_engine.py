@@ -231,19 +231,18 @@ class TestBatchTraceGeneration:
             generator._PRIMED.clear()
             generator.generate_trace.cache_clear()
 
-    def test_trace_pickle_roundtrip_drops_hot_columns(self):
+    def test_trace_pickle_roundtrip(self):
         import pickle
         from repro.trace.generator import generate_trace
         trace = generate_trace("gzip", 300, seed=3)
-        trace.hot_columns()
         clone = pickle.loads(pickle.dumps(trace))
-        assert clone._hot_columns is None
         assert clone.name == trace.name
+        assert clone.data_region_bytes == trace.data_region_bytes
         assert canonical_trace(clone) == canonical_trace(trace)
 
 
 def canonical_trace(trace) -> str:
-    return json.dumps({key: getattr(trace, key).tolist()
+    return json.dumps({key: getattr(trace, key)
                        for key in ("op", "dest", "src1", "src2", "addr",
                                    "taken", "pc")})
 

@@ -27,7 +27,7 @@ gate = _load_gate()
 
 def _rows(overrides):
     """One passing row per side per pair of every gated workload, the
-    parent at 20 kinst/s and the change at the same speed, with
+    parent at 20 kinst/s and 48 MiB and the change the same, with
     ``overrides[(side, workload, seed)]`` merged into a row."""
     rows = []
     for seed in range(1, gate.PAIRS + 1):
@@ -36,26 +36,44 @@ def _rows(overrides):
                 row = {"side": side, "seed": seed, "workload": workload,
                        "run_order": run_order, "exit": 0, "correct": True,
                        "attempted": 3, "failed": 0,
-                       "metrics": {"sim_kips": 20.0, "wall_s": 3.0}}
+                       "metrics": _metrics()}
                 row.update(overrides.get((side, workload, seed), {}))
                 rows.append(row)
     return rows
 
 
+def _metrics(kips=1.0, rss=1.0):
+    return {"sim_kips": 20.0 * kips, "wall_s": 3.0,
+            "peak_rss_mib": 48.0 * rss}
+
+
 def _kips(ratio):
-    return {"metrics": {"sim_kips": 20.0 * ratio, "wall_s": 3.0}}
+    return {"metrics": _metrics(kips=ratio)}
+
+
+def _rss(ratio):
+    return {"metrics": _metrics(rss=ratio)}
 
 
 CASES = [
     ("identical-sides", {}, 0,
      ["rat-mem4: median sim_kips ratio 1.000",
-      "stall-mem2: median sim_kips ratio 1.000"]),
+      "stall-mem2: median sim_kips ratio 1.000",
+      "stall-mem2: median peak_rss_mib ratio 1.000"]),
     ("rat-mem4-at-0.77",
      {("change", "rat-mem4", seed): _kips(0.77)
       for seed in range(1, gate.PAIRS + 1)}, 1,
      ["rat-mem4: median sim_kips ratio 0.770"]),
     ("one-0.70-pair", {("change", "stall-mem2", 2): _kips(0.70)}, 0,
      ["stall-mem2: median sim_kips ratio 1.000"]),
+    ("stall-mem2-rss-at-1.05",
+     {("change", "stall-mem2", seed): _rss(1.05)
+      for seed in range(1, gate.PAIRS + 1)}, 1,
+     ["stall-mem2: median peak_rss_mib ratio 1.050", "ceiling 1.03"]),
+    ("stall-mem2-rss-at-1.02",
+     {("change", "stall-mem2", seed): _rss(1.02)
+      for seed in range(1, gate.PAIRS + 1)}, 0,
+     ["stall-mem2: median peak_rss_mib ratio 1.020"]),
     ("change-exit-1", {("change", "stall-mem2", 3): {"exit": 1}}, 1,
      ["stall-mem2 seed 3", "change run failed"]),
     ("change-incorrect", {("change", "rat-mem4", 5): {"correct": False}}, 1,

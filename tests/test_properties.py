@@ -144,7 +144,8 @@ def test_generation_deterministic(name, seed):
 def test_memory_addresses_in_working_set(name, length):
     profile = get_profile(name)
     trace = TraceGenerator(profile, length, 1).generate()
-    mem_mask = np.isin(trace.op, (5, 6, 7, 8))
-    if mem_mask.any():
-        assert trace.addr[mem_mask].min() >= 0
-        assert trace.addr[mem_mask].max() < profile.working_set_bytes
+    addrs = [addr for op, addr in zip(trace.op, trace.addr)
+             if op in (5, 6, 7, 8)]
+    if addrs:
+        assert min(addrs) >= 0
+        assert max(addrs) < profile.working_set_bytes

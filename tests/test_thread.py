@@ -1,11 +1,18 @@
 """Tests for ThreadContext."""
 
+import dataclasses
+
+import pytest
+
 from repro.config import baseline
 from repro.core.pipeline import SMTPipeline
+from repro.core.processor import SMTProcessor
 from repro.core.regfile import PhysRegFile
 from repro.core.rename import RenameState
 from repro.core.thread import PASS_STRIDE_BYTES, ThreadContext
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.policies.registry import create_policy
+from repro.trace.generator import generate_trace
 
 from repro.testing import TraceBuilder
 
@@ -71,6 +78,40 @@ class TestFetchCursor:
         _alu, load = _fetch(pipeline, 2)
         assert load.addr == pipeline.threads[0].data_base + 64
 
+    @pytest.mark.parametrize("line_bytes", [48, 64])
+    def test_one_icache_probe_per_line_entered(self, monkeypatch,
+                                               line_bytes):
+        # Thread 1's code offset is no multiple of 48, so its line
+        # boundaries fall off the trace's own.
+        base = baseline()
+        config = dataclasses.replace(base, **{
+            level: dataclasses.replace(
+                getattr(base, level), line_bytes=line_bytes,
+                size_bytes=getattr(base, level).size_bytes // 64 * line_bytes)
+            for level in ("icache", "dcache", "l2")})
+        trace = TraceBuilder().nops(30).build()
+        pipeline = SMTPipeline(config, [trace, trace],
+                               create_policy("icount", config))
+        probed = []
+        ifetch_packed = MemoryHierarchy.ifetch_packed
+
+        def spy(mem, pc, now, tid, speculative=False):
+            probed.append(pc)
+            return ifetch_packed(mem, pc, now, tid, speculative)
+
+        monkeypatch.setattr(MemoryHierarchy, "ifetch_packed", spy)
+        thread = pipeline.threads[1]
+        now = 0
+        while len(thread.fetch_queue) < 24:
+            now = max(now + 1, thread.fetch_blocked_until)
+            pipeline._fetch_thread(thread, now,
+                                   24 - len(thread.fetch_queue))
+        pcs = [inst.pc for inst in thread.fetch_queue]
+        assert pcs[0] == trace.pc[0] + thread.code_offset
+        assert [pc // line_bytes for pc in probed] == sorted(
+            {pc // line_bytes for pc in pcs})
+        assert set(probed) <= set(pcs)
+
     def test_later_pass_fetches_the_shifted_address(self):
         trace = TraceBuilder(data_region=1 << 26).load(2, 128).build()
         pipeline = _pipeline(trace)
@@ -79,6 +120,42 @@ class TestFetchCursor:
         assert (first.pass_no, second.pass_no) == (0, 1)
         assert first.addr == thread.physical_addr(128, 0)
         assert second.addr == thread.physical_addr(128, 1) != first.addr
+
+
+class TestSharedTrace:
+    """Each trace is held once per process: every thread of every
+    processor running it binds the trace's own column tuples."""
+
+    #: ThreadContext attribute -> Trace column.
+    VIEWS = (("ops", "op"), ("dests", "dest"), ("src1s", "src1"),
+             ("src2s", "src2"), ("addrs", "addr"), ("takens", "taken"),
+             ("pcs", "pc"))
+
+    def _processors(self):
+        # generate_trace memoizes, so threads 0 and 2 run one trace.
+        traces = [generate_trace(name, 600, 11)
+                  for name in ("art", "mcf", "art")]
+        return traces, [SMTProcessor(baseline(), traces) for _ in range(2)]
+
+    def test_threads_bind_the_trace_columns(self):
+        traces, processors = self._processors()
+        assert traces[0] is traces[2]
+        for processor in processors:
+            for thread, trace in zip(processor.pipeline.threads, traces):
+                for view, column in self.VIEWS:
+                    assert getattr(thread, view) is getattr(trace, column), (
+                        thread.tid, view)
+
+    def test_no_thread_holds_a_per_row_copy(self):
+        traces, processors = self._processors()
+        for thread, trace in zip(processors[0].pipeline.threads, traces):
+            columns = [getattr(trace, column) for _view, column in self.VIEWS]
+            for slot in ThreadContext.__slots__:
+                value = getattr(thread, slot, None)
+                if (isinstance(value, (list, tuple))
+                        and len(value) == len(trace)):
+                    assert any(value is column for column in columns), (
+                        thread.tid, slot)
 
 
 class TestAddressing:

@@ -1,6 +1,5 @@
 """Tests for the Trace container and TraceInstruction."""
 
-import numpy as np
 import pytest
 
 from repro.errors import TraceError
@@ -11,13 +10,13 @@ from repro.trace.trace import Trace
 
 def _columns(count=4, **overrides):
     columns = {
-        "op": np.full(count, int(OpClass.IALU), dtype=np.int8),
-        "dest": np.full(count, 1, dtype=np.int16),
-        "src1": np.full(count, NO_REG, dtype=np.int16),
-        "src2": np.full(count, NO_REG, dtype=np.int16),
-        "addr": np.zeros(count, dtype=np.int64),
-        "taken": np.zeros(count, dtype=np.bool_),
-        "pc": np.arange(0x1000, 0x1000 + 4 * count, 4, dtype=np.int64),
+        "op": [int(OpClass.IALU)] * count,
+        "dest": [1] * count,
+        "src1": [NO_REG] * count,
+        "src2": [NO_REG] * count,
+        "addr": [0] * count,
+        "taken": [False] * count,
+        "pc": list(range(0x1000, 0x1000 + 4 * count, 4)),
     }
     columns.update(overrides)
     return columns
@@ -36,13 +35,13 @@ class TestTraceConstruction:
 
     def test_ragged_columns_rejected(self):
         columns = _columns()
-        columns["addr"] = np.zeros(3, dtype=np.int64)
+        columns["addr"] = [0] * 3
         with pytest.raises(TraceError):
             Trace("t", columns)
 
     def test_columns_are_read_only(self):
         trace = Trace("t", _columns())
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             trace.op[0] = 5
 
     def test_data_region_recorded(self):
@@ -55,23 +54,36 @@ class TestTraceValidation:
         Trace("t", _columns()).validate()
 
     def test_bad_opcode_rejected(self):
-        columns = _columns(op=np.full(4, 99, dtype=np.int8))
+        columns = _columns(op=[99] * 4)
         with pytest.raises(TraceError):
             Trace("t", columns).validate()
 
     def test_out_of_range_register_rejected(self):
-        columns = _columns(dest=np.full(4, 64, dtype=np.int16))
+        columns = _columns(dest=[64] * 4)
         with pytest.raises(TraceError):
             Trace("t", columns).validate()
 
+    def test_out_of_range_register_names_its_row(self):
+        columns = _columns(src1=[NO_REG, 3, 64, NO_REG])
+        with pytest.raises(TraceError, match="src1 out of range at index 2"):
+            Trace("t", columns).validate()
+
+    def test_negative_register_other_than_no_reg_rejected(self):
+        columns = _columns(src2=[NO_REG, NO_REG, NO_REG, NO_REG - 1])
+        with pytest.raises(TraceError, match="src2 out of range at index 3"):
+            Trace("t", columns).validate()
+
+    def test_negative_address_on_non_memory_row_passes(self):
+        # Only memory rows carry a data address.
+        Trace("t", _columns(addr=[0, -8, 0, 0])).validate()
+
     def test_negative_address_rejected(self):
-        columns = _columns(op=np.full(4, int(OpClass.LOAD), dtype=np.int8),
-                           addr=np.full(4, -8, dtype=np.int64))
+        columns = _columns(op=[int(OpClass.LOAD)] * 4, addr=[-8] * 4)
         with pytest.raises(TraceError):
             Trace("t", columns).validate()
 
     def test_repeated_pc_rejected(self):
-        columns = _columns(pc=np.full(4, 0x1000, dtype=np.int64))
+        columns = _columns(pc=[0x1000] * 4)
         with pytest.raises(TraceError):
             Trace("t", columns).validate()
 
@@ -104,24 +116,13 @@ class TestTraceAccessors:
         assert mix["load"] == 0.0
 
     def test_mix_with_loads(self):
-        ops = np.array([int(OpClass.LOAD), int(OpClass.STORE),
-                        int(OpClass.BRANCH), int(OpClass.FADD)],
-                       dtype=np.int8)
+        ops = [int(OpClass.LOAD), int(OpClass.STORE),
+               int(OpClass.BRANCH), int(OpClass.FADD)]
         mix = Trace("t", _columns(op=ops)).mix()
         assert mix["load"] == pytest.approx(0.25)
         assert mix["store"] == pytest.approx(0.25)
         assert mix["branch"] == pytest.approx(0.25)
         assert mix["fp"] == pytest.approx(0.25)
-
-    def test_code_footprint(self):
-        trace = Trace("t", _columns(4))
-        assert trace.code_footprint_bytes() == 16
-
-    def test_data_footprint_counts_lines(self):
-        ops = np.full(4, int(OpClass.LOAD), dtype=np.int8)
-        addrs = np.array([0, 8, 64, 256], dtype=np.int64)
-        trace = Trace("t", _columns(op=ops, addr=addrs))
-        assert trace.data_footprint_bytes(64) == 3 * 64
 
 
 class TestTraceInstruction:

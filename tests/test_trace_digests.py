@@ -2,7 +2,8 @@
 
 ``tests/data/trace_digests.json`` holds, for each of the 24 benchmark
 profiles at a short and a long (length, seed) point, the sha256 of every
-trace column's dtype and raw bytes.  The golden simulation digests only
+trace column's dtype and raw bytes, the column converted to its numpy
+dtype in :data:`DTYPES`.  The golden simulation digests only
 exercise a handful of benchmarks, so a generator change that drifts on
 an FP- or pointer-chase-heavy profile none of them runs would pass
 those; this file catches it and names the benchmark, point and column.
@@ -20,6 +21,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.trace.generator import TraceGenerator
@@ -33,7 +35,18 @@ DATA_PATH = os.path.join(os.path.dirname(__file__), "data",
 #: benchmark length, each with its own seed.
 POINTS = ((1000, 1), (12000, 2001))
 
-COLUMNS = ("op", "dest", "src1", "src2", "addr", "taken", "pc")
+#: The numpy dtype each column is digested as (the pins were recorded
+#: when ``Trace`` stored its columns as arrays of these dtypes).
+DTYPES = {
+    "op": np.int8,
+    "dest": np.int16,
+    "src1": np.int16,
+    "src2": np.int16,
+    "addr": np.int64,
+    "taken": np.bool_,
+    "pc": np.int64,
+}
+COLUMNS = tuple(DTYPES)
 
 
 def point_id(length: int, seed: int) -> str:
@@ -43,7 +56,7 @@ def point_id(length: int, seed: int) -> str:
 def column_digests(trace: Trace):
     digests = {}
     for column in COLUMNS:
-        array = getattr(trace, column)
+        array = np.asarray(getattr(trace, column), dtype=DTYPES[column])
         digest = hashlib.sha256(array.dtype.str.encode("ascii"))
         digest.update(array.tobytes())
         digests[column] = digest.hexdigest()

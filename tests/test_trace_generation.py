@@ -186,10 +186,10 @@ class TestGenerator:
     def test_addresses_within_working_set(self):
         profile = get_profile("twolf")
         trace = TraceGenerator(profile, 5000, seed=1).generate()
-        mem_mask = np.isin(trace.op, (int(OpClass.LOAD), int(OpClass.STORE),
-                                      int(OpClass.FLOAD),
-                                      int(OpClass.FSTORE)))
-        assert trace.addr[mem_mask].max() < profile.working_set_bytes
+        mem_ops = (OpClass.LOAD, OpClass.STORE, OpClass.FLOAD,
+                   OpClass.FSTORE)
+        assert max(addr for op, addr in zip(trace.op, trace.addr)
+                   if op in mem_ops) < profile.working_set_bytes
         assert trace.data_region_bytes == profile.working_set_bytes
 
     def test_sources_reference_written_registers(self):
@@ -204,10 +204,10 @@ class TestGenerator:
 
     def test_fp_suite_uses_fp_registers(self):
         trace = TraceGenerator(get_profile("swim"), 5000, seed=2).generate()
-        fp_ops = np.isin(trace.op, (int(OpClass.FADD), int(OpClass.FMUL),
-                                    int(OpClass.FDIV), int(OpClass.FLOAD)))
-        dests = trace.dest[fp_ops]
-        assert (dests[dests != NO_REG] >= 32).all()
+        fp_ops = (OpClass.FADD, OpClass.FMUL, OpClass.FDIV, OpClass.FLOAD)
+        dests = [dest for op, dest in zip(trace.op, trace.dest)
+                 if op in fp_ops and dest != NO_REG]
+        assert all(dest >= 32 for dest in dests)
 
     def test_int_suite_has_no_fp(self):
         trace = TraceGenerator(get_profile("mcf"), 5000, seed=2).generate()
