@@ -15,8 +15,7 @@ The rule scans the simulation-semantics packages (``core/``, ``mem/``,
 * **wall-clock / entropy reads** — ``time.time()`` & friends,
   ``datetime.now()``, ``os.urandom``, ``uuid.uuid4``, ``secrets``;
 * **global random state** — any ``random.*`` module-level call (seeded
-  ``random.Random(seed)`` instances are fine), ``numpy.random``
-  module-level draws, and ``numpy.random.default_rng()`` without a seed;
+  ``random.Random(seed)`` instances are fine);
 * **object identity** — ``id()`` and builtin ``hash()`` calls (both
   vary per process: addresses and ``PYTHONHASHSEED``);
 * **unsorted directory listings** — ``os.listdir``/``os.scandir`` calls
@@ -57,13 +56,6 @@ _CLOCK_CALLS = frozenset({
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "datetime.datetime.today", "datetime.date.today",
     "os.urandom", "uuid.uuid1", "uuid.uuid4",
-})
-
-#: ``numpy.random`` attributes that are constructors for *seedable*
-#: generators rather than draws from the global state.
-_NUMPY_SEEDABLE = frozenset({
-    "default_rng", "Generator", "SeedSequence", "PCG64", "PCG64DXSM",
-    "Philox", "SFC64", "MT19937", "BitGenerator", "RandomState",
 })
 
 #: ``random`` attributes that construct independent (seedable) streams.
@@ -134,21 +126,9 @@ class DeterminismRule(Rule):
         if root == "random" and attr and "." not in attr:
             if attr not in _RANDOM_SEEDABLE:
                 report(node, f"random.{attr}() draws from the global "
-                             "random state — use a seeded "
-                             "random.Random/numpy Generator carried by "
-                             "the trace spec")
-            return
-        if target.startswith("numpy.random."):
-            attr = target[len("numpy.random."):]
-            if attr == "default_rng" and not node.args \
-                    and not node.keywords:
-                report(node, "numpy.random.default_rng() without a seed "
-                             "is entropy-seeded — derive the seed from "
-                             "the cell spec")
-            elif "." not in attr and attr not in _NUMPY_SEEDABLE:
-                report(node, f"numpy.random.{attr}() draws from the "
-                             "global numpy state — use a Generator "
-                             "seeded from the cell spec")
+                             "random state — use a seeded generator "
+                             "(repro.trace.rng.Rng) carried by the "
+                             "trace spec")
             return
         if root == "secrets":
             report(node, f"{target}() is an entropy source — "

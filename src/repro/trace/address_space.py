@@ -17,16 +17,17 @@ across SPEC CPU2000:
   depend on the previous load, which limits MLP exactly the way real
   pointer chasing does.
 
-Streams draw from a shared :class:`numpy.random.Generator` so traces are
-deterministic for a given seed.
+Streams draw from the trace's shared :class:`~repro.trace.rng.Rng` so
+traces are deterministic for a given seed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 from typing import List
 
-import numpy as np
+from .rng import Rng
 
 #: Base of the synthetic data segment.  Distinct from the code segment so
 #: I- and D-streams never alias.
@@ -50,7 +51,7 @@ class StridedStream(AddressStream):
     within its region, modelling a fresh pass over a different array slice.
     """
 
-    def __init__(self, rng: np.random.Generator, base: int, region_bytes: int,
+    def __init__(self, rng: Rng, base: int, region_bytes: int,
                  stride: int, sweep_length: int = 4096) -> None:
         if region_bytes <= 0:
             raise ValueError("region_bytes must be positive")
@@ -59,7 +60,7 @@ class StridedStream(AddressStream):
         self._region = region_bytes
         self._stride = max(1, stride)
         self._sweep_length = max(1, sweep_length)
-        self._offset = int(rng.integers(0, region_bytes))
+        self._offset = rng.integers(0, region_bytes)
         self._count = 0
 
     def next_address(self) -> int:
@@ -68,14 +69,14 @@ class StridedStream(AddressStream):
         self._count += 1
         if self._count >= self._sweep_length:
             self._count = 0
-            self._offset = int(self._rng.integers(0, self._region))
+            self._offset = self._rng.integers(0, self._region)
         return address
 
 
 class _HotColdRegion:
     """Shared hot/cold address selection for random and chase streams."""
 
-    def __init__(self, rng: np.random.Generator, base: int, region_bytes: int,
+    def __init__(self, rng: Rng, base: int, region_bytes: int,
                  hot_fraction: float, hot_prob: float,
                  hot_bytes_cap: int = 0) -> None:
         if region_bytes <= 0:
@@ -95,7 +96,7 @@ class _HotColdRegion:
         self._hot_bytes = hot_bytes
         # Place the hot region somewhere stable inside the working set.
         limit = max(1, region_bytes - self._hot_bytes)
-        self._hot_base = int(rng.integers(0, limit))
+        self._hot_base = rng.integers(0, limit)
         self._hot_prob = hot_prob
         # Bound once: pick_offset runs per generated memory access.
         self._random = rng.random
@@ -103,8 +104,8 @@ class _HotColdRegion:
 
     def pick_offset(self) -> int:
         if self._random() < self._hot_prob:
-            return self._hot_base + int(self._integers(0, self._hot_bytes))
-        return int(self._integers(0, self._region))
+            return self._hot_base + self._integers(0, self._hot_bytes)
+        return self._integers(0, self._region)
 
     @property
     def hot_bytes(self) -> int:
@@ -114,7 +115,7 @@ class _HotColdRegion:
 class RandomStream(AddressStream):
     """Scattered accesses with a hot resident set, 8-byte aligned."""
 
-    def __init__(self, rng: np.random.Generator, base: int,
+    def __init__(self, rng: Rng, base: int,
                  region_bytes: int, hot_fraction: float = 0.05,
                  hot_prob: float = 0.85, hot_bytes_cap: int = 0) -> None:
         self._picker = _HotColdRegion(rng, base, region_bytes,
@@ -132,7 +133,7 @@ class PointerChaseStream(AddressStream):
 
     dependent = True
 
-    def __init__(self, rng: np.random.Generator, base: int,
+    def __init__(self, rng: Rng, base: int,
                  region_bytes: int, node_bytes: int = 64,
                  hot_fraction: float = 0.02, hot_prob: float = 0.6,
                  hot_bytes_cap: int = 0) -> None:
@@ -149,7 +150,7 @@ class PointerChaseStream(AddressStream):
 class StreamMixer:
     """Selects a stream per memory access according to profile weights."""
 
-    def __init__(self, rng: np.random.Generator, streams: List[AddressStream],
+    def __init__(self, rng: Rng, streams: List[AddressStream],
                  weights: List[float]) -> None:
         if len(streams) != len(weights) or not streams:
             raise ValueError("streams and weights must be same non-zero length")
@@ -159,10 +160,9 @@ class StreamMixer:
         self._random = rng.random
         self._streams = streams
         self._last = len(streams) - 1
-        # numpy's cumulative sums as Python floats: bisect_right over them
-        # is searchsorted(side="right") on the same values, without a
-        # numpy scalar round trip per pick.
-        self._cumulative = np.cumsum([w / total for w in weights]).tolist()
+        # Left-to-right float sums: the same values numpy's cumsum gave
+        # when the trace pins were recorded.
+        self._cumulative = list(accumulate(w / total for w in weights))
 
     def pick(self) -> AddressStream:
         index = bisect_right(self._cumulative, self._random())

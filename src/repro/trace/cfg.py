@@ -21,9 +21,8 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
-import numpy as np
-
 from ..isa import INSTRUCTION_BYTES
+from .rng import Rng
 
 #: Base of the synthetic code segment.
 CODE_SEGMENT_BASE = 0x1000_0000
@@ -51,7 +50,7 @@ class BasicBlock:
 class ControlFlowGraph:
     """The static code skeleton a trace generator walks."""
 
-    def __init__(self, rng: np.random.Generator, num_blocks: int,
+    def __init__(self, rng: Rng, num_blocks: int,
                  mean_block_len: int, loop_bias: float,
                  far_jump_prob: float, bias_concentration: float) -> None:
         """Build a random CFG.
@@ -72,29 +71,32 @@ class ControlFlowGraph:
             raise ValueError("need at least 2 basic blocks")
         self.blocks: List[BasicBlock] = []
         pc = CODE_SEGMENT_BASE
-        lengths = MIN_BLOCK_LEN + rng.geometric(
-            1.0 / max(1, mean_block_len - MIN_BLOCK_LEN + 1), size=num_blocks) - 1
+        # All the lengths first, in block order, then the per-block draws.
+        geometric = rng.geometric
+        length_p = 1.0 / max(1, mean_block_len - MIN_BLOCK_LEN + 1)
+        lengths = [MIN_BLOCK_LEN + geometric(length_p) - 1
+                   for _ in range(num_blocks)]
         # Bound once: large-footprint benchmarks build thousands of blocks.
         random = rng.random
         integers = rng.integers
         beta = rng.beta
-        for index, length in enumerate(lengths.tolist()):
+        for index, length in enumerate(lengths):
             # Taken target: back-edge to a nearby block (loop) or a jump.
             if random() < loop_bias:
                 span = min(8, index) if index else 0
-                target = index - int(integers(0, span + 1))
+                target = index - integers(0, span + 1)
                 if target == index:
                     # Self-loop on a >=2 instruction block is fine (PC
                     # sequence ...branch_pc, start_pc... never repeats).
                     target = index
             else:
                 if random() < far_jump_prob:
-                    target = int(integers(0, num_blocks))
+                    target = integers(0, num_blocks)
                 else:
                     target = min(num_blocks - 1,
-                                 index + 1 + int(integers(0, 8)))
+                                 index + 1 + integers(0, 8))
             # Strongly biased branches are what the perceptron learns well.
-            bias = float(beta(bias_concentration, 1.0))
+            bias = beta(bias_concentration, 1.0)
             # Mix of mostly-taken and mostly-not-taken blocks.
             if random() < 0.4:
                 bias = 1.0 - bias
@@ -111,7 +113,7 @@ class ControlFlowGraph:
         """Block index reached when ``block``'s branch is not taken."""
         return (block.index + 1) % len(self.blocks)
 
-    def walk(self, rng: np.random.Generator, block: BasicBlock
+    def walk(self, rng: Rng, block: BasicBlock
              ) -> "tuple[bool, BasicBlock]":
         """Resolve one dynamic execution of ``block``'s terminating branch.
 

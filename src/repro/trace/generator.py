@@ -25,8 +25,6 @@ import zlib
 from collections import deque
 from typing import Dict, List, Mapping, Tuple
 
-import numpy as np
-
 from ..errors import TraceError
 from ..isa import INSTRUCTION_BYTES, NO_REG, OpClass
 from .address_space import (
@@ -37,6 +35,7 @@ from .address_space import (
 )
 from .cfg import MIN_BLOCK_LEN, ControlFlowGraph
 from .profiles import BenchmarkProfile, get_profile
+from .rng import Rng
 from .trace import Trace
 
 #: Integer registers are split into two pools (r0 is the Alpha zero
@@ -86,8 +85,7 @@ class TraceGenerator:
         self.profile = profile
         self.length = length
         name_hash = zlib.crc32(profile.name.encode("utf-8"))
-        self._rng = np.random.default_rng([seed & 0x7FFFFFFF, length,
-                                           name_hash])
+        self._rng = Rng([seed & 0x7FFFFFFF, length, name_hash])
 
     # --- static code construction -------------------------------------------
 
@@ -334,11 +332,11 @@ def prime_traces(traces: Mapping[TraceKey, Trace]) -> None:
     The parallel simulation backend generates each (benchmark, length,
     seed) trace once in the coordinating process and ships the batch to
     every worker at pool start-up, so workers deserialize instead of
-    regenerating — trace generation is O(length) in numpy RNG draws and
-    was repeated per (cell × worker) before.  Priming is an optimization
-    only: a missing entry falls back to deterministic regeneration, and
-    a primed trace is bit-identical to a regenerated one by the
-    generator's determinism guarantee.
+    regenerating — trace generation is O(length) in pure-Python RNG
+    draws (:mod:`repro.trace.rng`) and was repeated per (cell × worker)
+    before.  Priming is an optimization only: a missing entry falls back
+    to deterministic regeneration, and a primed trace is bit-identical
+    to a regenerated one by the generator's determinism guarantee.
     """
     _PRIMED.update(traces)
 

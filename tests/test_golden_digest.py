@@ -46,6 +46,12 @@ _LINE48 = {level: dataclasses.replace(getattr(baseline(), level),
                                       ("dcache", 49_152, 4),
                                       ("l2", 786_432, 8))}
 
+#: A 4 KiB, 2-way I-cache (32 sets of 64-byte lines), far smaller than
+#: the ~48 KB of code gcc's 2,400 blocks lay out: the fetch loop keeps
+#: missing after warm-up, so the cell pins its I-cache probing.
+_ICACHE4K = {"icache": dataclasses.replace(baseline().icache,
+                                           size_bytes=4096, assoc=2)}
+
 #: The pinned matrix: id -> (class, benchmarks, policy, trace_len,
 #: min_passes, max_cycles[, config_overrides]).  Cells cover every
 #: thread count, every workload class flavour, and every policy with
@@ -54,8 +60,9 @@ _LINE48 = {level: dataclasses.replace(getattr(baseline(), level),
 #: cell pins the max-cycles clamp).  The ``-mshr`` cells shrink the MSHR
 #: file so rejected-load replay windows occur densely; the fast path
 #: steps those windows (a replaying load is a live ready entry), and the
-#: cells pin that stepping bit for bit.  The ``-line48`` cell was
-#: recorded later than the rest, by a pipeline already skipping cycles.
+#: cells pin that stepping bit for bit.  The ``-line48`` and
+#: ``-icache4k`` cells were recorded later than the rest, by a pipeline
+#: already skipping cycles.
 GOLDEN_CELLS = {
     "single-mcf-icount": ("SINGLE", ("mcf",), "icount", 600, 3, 2_000_000),
     "mem2-icount": ("MEM2", ("art", "mcf"), "icount", 600, 1, 2_000_000),
@@ -80,6 +87,8 @@ GOLDEN_CELLS = {
                           2_000_000, {"mshr_entries": 2}),
     "mem4-rat-line48": ("MEM4", ("art", "mcf", "swim", "twolf"), "rat",
                         500, 1, 2_000_000, _LINE48),
+    "mix2-rat-icache4k": ("MIX2", ("gcc", "mcf"), "rat", 2000, 1,
+                          2_000_000, _ICACHE4K),
 }
 
 

@@ -3,7 +3,12 @@
 ``tests/data/trace_digests.json`` holds, for each of the 24 benchmark
 profiles at a short and a long (length, seed) point, the sha256 of every
 trace column's dtype and raw bytes, the column converted to its numpy
-dtype in :data:`DTYPES`.  The golden simulation digests only
+dtype in :data:`DTYPES`.  numpy is only the digest's encoding here: the
+pins were recorded when the generator drew from numpy's
+``default_rng``, and it now draws from :mod:`repro.trace.rng`, a
+pure-Python copy of those streams, so these pins are what prove the copy
+bit-exact over whole traces (``tests/test_rng.py`` checks it draw by
+draw).  The golden simulation digests only
 exercise a handful of benchmarks, so a generator change that drifts on
 an FP- or pointer-chase-heavy profile none of them runs would pass
 those; this file catches it and names the benchmark, point and column.
