@@ -38,7 +38,6 @@ from .errors import (
 )
 from .metrics import ed2, fairness, throughput
 from .policies import POLICY_NAMES, create_policy
-from .sim import RunSpec, run_workload, single_thread_ipc, sweep_policies
 from .trace import (
     Trace,
     Workload,
@@ -71,10 +70,6 @@ __all__ = [
     "throughput",
     "POLICY_NAMES",
     "create_policy",
-    "RunSpec",
-    "run_workload",
-    "single_thread_ipc",
-    "sweep_policies",
     "Trace",
     "Workload",
     "all_workloads",

@@ -159,13 +159,16 @@ class SMTProcessor:
         btb_insert = pipeline.btb.lookup_and_insert
         predict = pipeline.predictor.predict
         l2_bytes = self.config.l2.size_bytes
-        line_shift = self.config.l2.line_bytes.bit_length() - 1
+        l2_line_bytes = self.config.l2.line_bytes
         iline_bytes = self.config.icache.line_bytes
         for thread in pipeline.threads:
-            addrs = [addr for op, addr in zip(thread.ops, thread.addrs)
+            # Physical addresses, so the span test groups them into the
+            # lines warm_data installs (data_base need not be line-aligned).
+            addrs = [thread.physical_addr(addr, 0)
+                     for op, addr in zip(thread.ops, thread.addrs)
                      if IS_MEM_BY_CODE[op]]
             if thread.data_region > 0.75 * l2_bytes:
-                lines = [addr >> line_shift for addr in addrs]
+                lines = [addr // l2_line_bytes for addr in addrs]
                 # A later position overwrites an earlier one, so walking
                 # backwards leaves each line's first position.
                 first = {line: position for position, line in zip(
@@ -175,7 +178,7 @@ class SMTProcessor:
                 span_needed = max(1, len(lines) // 4)
                 addrs = [addr for addr, line in zip(addrs, lines)
                          if last[line] - first[line] >= span_needed]
-            mem.warm_data([thread.physical_addr(addr, 0) for addr in addrs])
+            mem.warm_data(addrs)
             code_offset = thread.code_offset
             last_line = -1
             line_pcs = []
@@ -241,10 +244,10 @@ class SMTProcessor:
         if min_passes < 1:
             raise SimulationError("min_passes must be >= 1")
         cap = max_cycles if max_cycles is not None else self.config.max_cycles
-        # Late import: the kernel registry lives in repro.sim (it is a
-        # selection concern, beside the executor registry), which pulls
-        # config/cli-adjacent modules the core package must not depend
-        # on at import time.
+        # Looked up per call, not bound at import: instrumentation may
+        # replace the module attribute (perfbench's tier probe does).
+        # The import loads repro.sim's bare package and kernels.py only,
+        # none of the campaign layers.
         from ..sim.kernels import resolve_run_loop
         run_loop = resolve_run_loop(self.pipeline)
         truncated = run_loop(self.pipeline, min_passes, cap)

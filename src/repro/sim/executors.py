@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import (ProcessPoolExecutor, ThreadPoolExecutor,
-                                as_completed)
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.processor import SMTProcessor, SimResult
@@ -211,6 +209,7 @@ class ProcessPoolBackend:
         if self.jobs == 1 or len(items) <= 1:
             SerialBackend().run(items, on_result)
             return
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         workers = min(self.jobs, len(items))
         traces = batch_traces(cell for _, cell in items)
         with ProcessPoolExecutor(max_workers=workers,
@@ -243,6 +242,7 @@ class ThreadPoolBackend:
         if self.jobs == 1 or len(items) <= 1:
             SerialBackend().run(items, on_result)
             return
+        from concurrent.futures import ThreadPoolExecutor, as_completed
         workers = min(self.jobs, len(items))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(simulate_cell, cell): key

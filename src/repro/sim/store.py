@@ -41,9 +41,11 @@ in doubt, bump: the only cost is one cold campaign, while a stale hit
 is a wrong figure.  Old-salt entries stay on disk until ``repro cache
 prune --stale-salts`` removes them.
 
-History: ``v1`` PR 1 (engine introduction) → ``v2`` PR 3 (event-driven
-cycle skipping + hot-path rework; results verified bit-identical, but
-the inner loop was rebuilt wholesale).
+History: ``v1`` engine introduction → ``v2`` event-driven cycle
+skipping + hot-path rework (results verified bit-identical, but the
+inner loop was rebuilt wholesale) → ``v3`` selective L2 warm-up groups
+physical addresses into true L2 lines (changes cells whose L2 lines are
+not a power of two bytes).
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from ..core.processor import SimResult
 
 #: Bump whenever a change to the simulator alters (or could alter) what a
 #: cell produces; see the salt-bump policy in the module docstring.
-CODE_VERSION_SALT = "sim-engine-v2"
+CODE_VERSION_SALT = "sim-engine-v3"
 
 #: Render-cache counterpart of ``CODE_VERSION_SALT``: participates in
 #: every exhibit render key (:func:`repro.sim.manifest.exhibit_render_key`).

@@ -17,8 +17,9 @@ expression order:
   draws never touch;
 * ``integers``: Lemire's bounded sampler, 32-bit on ``next32`` for
   ranges up to 2**32 and 64-bit on ``next64`` above;
-* ``geometric``: numpy's search for ``p >= 1/3``, its inversion of a
-  ziggurat exponential below;
+* ``geometric``: numpy's search for ``p >= 1/3`` (ended where its
+  partial sum saturates, the one place numpy's loop never returns), its
+  inversion of a ziggurat exponential below;
 * ``beta``: Jöhnk's algorithm for ``a <= 1 and b <= 1``, otherwise a
   ratio of Marsaglia–Tsang gammas, with ``gamma(1.0)`` the exponential;
 * the ziggurat exponential and normal samplers, on numpy's own tables
@@ -195,7 +196,12 @@ class Rng:
     def geometric(self, p: float) -> int:
         """Trials to the first success, for ``0 < p <= 1``: numpy's
         search on one double for ``p >= 1/3``, else the inversion of an
-        exponential."""
+        exponential.
+
+        The search stops where its partial sum stops growing: for some
+        ``p`` (1/2.4, 1/2.6) the sum saturates below the largest
+        doubles ``random()`` can return, where numpy's loop never ends.
+        """
         if p >= 0.333333333333333333333333:
             u = self.random()
             if u <= p:
@@ -206,8 +212,10 @@ class Rng:
             trials = 2
             while u > total:
                 prod *= q
-                total += prod
                 trials += 1
+                if total + prod == total:
+                    break
+                total += prod
             return trials
         z = _ceil(-self._exponential() / _log1p(-p))
         return z if z <= _INT64_MAX else _INT64_MAX

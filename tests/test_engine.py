@@ -98,19 +98,20 @@ class TestCacheKey:
                 != cache_key(WORKLOAD, "icount", config, spec, salt="b"))
 
 
-#: Cell keys as recorded before the ``to_dict`` encoders stopped going
-#: through ``dataclasses.asdict``.  A drift here orphans every DiskStore
-#: entry and render-cache document, so the values are pinned, not just
-#: compared with each other.
+#: Cell keys under ``CODE_VERSION_SALT`` ``sim-engine-v3`` (first
+#: recorded before the ``to_dict`` encoders stopped going through
+#: ``dataclasses.asdict``; re-pinned with each salt bump).  A drift here
+#: orphans every DiskStore entry and render-cache document, so the
+#: values are pinned, not just compared with each other.
 PINNED_KEYS = {
     "mem2-rat":
-        "eb4830d530ee6a735e0388f0a51cfd15d996773ead052c1e2be39749fe32a2a0",
+        "464f47efbb0b78791f55610c0d1a59f782857e0f7efb705bf359e29303c60b3b",
     "mem4-icount":
-        "ab0ef16d01b43d8cd2df4b0f7f340d9b63f25a52cdbdf1a9b53493aab4b92733",
+        "4bc1464f7175a8eda7e3b8c2e93f2675624c3fd4199eb1bbac2b62b1582d3a10",
     "mem2-rat-regs128":
-        "fc94ddcda29341d0bb58b7085dd82f3f5bfe4ce61a17d1daba7cfba46161be0b",
+        "660423d42a7c788309d201afe9508f688c0451e23ce3370e935907e7c59c2744",
     "reference-mcf":
-        "18676c766038c3486a50742525ac6e9575cfc2b495183a132181fb9f7db60263",
+        "0971712b2436bb40e8f3abe13b61ad7d389602aae29f3e63ad2b5c231cbb3610",
 }
 
 

@@ -62,7 +62,9 @@ _ICACHE4K = {"icache": dataclasses.replace(baseline().icache,
 #: steps those windows (a replaying load is a live ready entry), and the
 #: cells pin that stepping bit for bit.  The ``-line48`` and
 #: ``-icache4k`` cells were recorded later than the rest, by a pipeline
-#: already skipping cycles.
+#: already skipping cycles; ``-line48`` was re-recorded when the
+#: selective L2 warm-up began grouping physical addresses into true
+#: 48-byte lines instead of shifting trace addresses.
 GOLDEN_CELLS = {
     "single-mcf-icount": ("SINGLE", ("mcf",), "icount", 600, 3, 2_000_000),
     "mem2-icount": ("MEM2", ("art", "mcf"), "icount", 600, 1, 2_000_000),

@@ -403,8 +403,8 @@ def test_semantic_edit_requires_salt_bump_or_repin(package_copy):
     # Bumping the governing salt resolves the error (leaving only the
     # re-pin reminder warning), exactly as the salt policy demands.
     _edit(package_copy, "sim/store.py",
-          'CODE_VERSION_SALT = "sim-engine-v2"',
-          'CODE_VERSION_SALT = "sim-engine-v3"')
+          'CODE_VERSION_SALT = "sim-engine-v3"',
+          'CODE_VERSION_SALT = "sim-engine-v4"')
     report = run_lint(package_copy, options)
     assert report.errors == 0, \
         "\n".join(f.render() for f in report.findings)
@@ -417,7 +417,7 @@ def test_semantic_edit_requires_salt_bump_or_repin(package_copy):
                          accept_fingerprints=True)
     report = run_lint(package_copy, accept)
     assert report.findings == [] and report.repinned is not None
-    assert report.repinned["salts"]["code"] == "sim-engine-v3"
+    assert report.repinned["salts"]["code"] == "sim-engine-v4"
     report = run_lint(package_copy, options)
     assert report.findings == []
 

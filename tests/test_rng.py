@@ -8,7 +8,8 @@ seeds; each rare branch is reached from a pinned stream position (an
 entropy and a number of one-word ``random()`` draws to skip), and the
 test first asserts that the word at that position really takes the
 branch, so a drifted position fails instead of passing vacuously.  The
-two branches that need a zero draw (C's ``log(0.0)``) start from a
+two branches that need a zero draw (C's ``log(0.0)``) and the geometric
+search's saturated sum, which needs the largest draw, start from a
 crafted PCG64 state set on both generators.
 
 The reference was checked against numpy 2.4.6, and the pinned positions
@@ -23,6 +24,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
+import signal
 import zlib
 
 import numpy as np
@@ -57,6 +59,14 @@ def numpy_state(generator):
 
 def rng_state(rng):
     return rng._state, rng._inc, rng._high32
+
+
+def set_state(ours, theirs, state):
+    """Both generators at the same 128-bit PCG64 state."""
+    ours._state = state
+    numpy_state = theirs.bit_generator.state
+    numpy_state["state"]["state"] = state
+    theirs.bit_generator.state = numpy_state
 
 
 def peek(rng, count=1):
@@ -285,6 +295,31 @@ def test_geometric_search_branch(p):
             == theirs.geometric(p, size=500).tolist())
 
 
+def test_geometric_search_ends_where_its_sum_saturates():
+    # A state whose next word is all ones draws u = 1 - 2**-53.  For
+    # p = 1/2.4 and 1/2.6 (the ILP profiles' dep_distance) the partial
+    # sums stop growing below u, where numpy's search never returns; for
+    # p = 1/3 they pass u after 89 trials, as numpy's do.
+    ours, theirs = pair([7])
+    start = ((_M64 - ours._inc) * _MULT_INV) & _M128
+    set_state(ours, theirs, start)
+    assert peek(ours)[0] == _M64
+    assert ours.geometric(1 / 3) == theirs.geometric(1 / 3) == 89
+
+    def hang(signum, frame):
+        raise TimeoutError("the geometric search did not return in 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        for p in (1 / 2.4, 1 / 2.6):
+            ours._state = start
+            assert ours.geometric(p) > 1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("p", [0.3333, 0.125, 1e-6])
 def test_geometric_inversion_branch(p):
     ours, theirs = pair([2, 2, 2])
@@ -364,11 +399,7 @@ def crafted(word_zero_high):
     ours, theirs = pair([7])
     zero = word_zero_high << 64 | word_zero_high
     before = ((zero - ours._inc) * _MULT_INV) & _M128
-    start = ((before - ours._inc) * _MULT_INV) & _M128
-    ours._state = start
-    state = theirs.bit_generator.state
-    state["state"]["state"] = start
-    theirs.bit_generator.state = state
+    set_state(ours, theirs, ((before - ours._inc) * _MULT_INV) & _M128)
     assert peek(ours, 2)[1] == 0
     return ours, theirs
 

@@ -244,9 +244,27 @@ class TestGenerator:
         assert chained > 50
 
 
+def _run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    package; return the last line it prints."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["repro"].__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [entry for entry in [env.get("PYTHONPATH")] if entry])
+    completed = subprocess.run([sys.executable, "-c", script],
+                               env=env, capture_output=True, text=True,
+                               timeout=300)
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout.strip().splitlines()[-1]
+
+
 #: A fresh interpreter imports the package, generates a trace and runs a
-#: 1-thread cell, then reports whether numpy was ever imported.
-_WITHOUT_NUMPY = """
+#: 1-thread cell, then lists what it loaded that a cell has no use for:
+#: numpy, the campaign layers (every ``repro.sim`` module but the kernel
+#: registry ``SMTProcessor.run`` resolves its loop from) and the
+#: process-pool stack.
+_ONE_CELL = """
 import sys
 import repro
 from repro.trace.generator import generate_trace
@@ -255,18 +273,29 @@ result = repro.SMTProcessor(repro.baseline().with_policy("icount"),
                             [trace]).run(min_passes=1)
 assert result.cycles > 0, result
 print(sorted(name for name in sys.modules
-             if name == "numpy" or name.startswith("numpy.")))
+             if name.split(".")[0] in ("numpy", "multiprocessing", "hashlib")
+             or name.startswith(("repro.experiments", "concurrent.futures"))
+             or name.startswith("repro.sim.")
+             and name != "repro.sim.kernels"))
 """
 
 
 def test_a_cell_simulates_without_numpy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        sys.modules["repro"].__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [entry for entry in [env.get("PYTHONPATH")] if entry])
-    completed = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY],
-                               env=env, capture_output=True, text=True,
-                               timeout=300)
-    assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.strip() == "[]", completed.stdout
+    assert _run_fresh(_ONE_CELL) == "[]"
+
+
+#: A serial campaign through the CLI: the engine, store and exhibits
+#: load, the process-pool stack does not.
+_SERIAL_CAMPAIGN = """
+import sys
+from repro.cli import main
+assert main(["figure1", "--trace-len", "300", "--workloads-per-class",
+             "1", "--classes", "MEM2", "--no-progress"]) == 0
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] == "multiprocessing"
+             or name.startswith("concurrent.futures")))
+"""
+
+
+def test_a_serial_campaign_loads_no_process_pool():
+    assert _run_fresh(_SERIAL_CAMPAIGN) == "[]"
