@@ -65,8 +65,10 @@ HOT_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("mem/hierarchy.py", "MemoryHierarchy.data_access_packed"),
     ("mem/mshr.py", "MSHRFile.expire"),
     ("branch/perceptron.py", "PerceptronPredictor.predict"),
-    # The per-instruction trace walk every cell's set-up pays.
+    # The per-instruction trace walk and the functional warm-up (two
+    # predictor calls per trace branch) every cell's set-up pays.
     ("trace/generator.py", "TraceGenerator.generate"),
+    ("core/processor.py", "SMTProcessor._warm"),
     # The kernel-tier entry points: the portable FAME loop and the
     # kernel resolution path (the derived loops themselves are checked
     # per coverage class, see generated_kernels).

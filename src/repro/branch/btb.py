@@ -15,15 +15,13 @@ from collections import OrderedDict
 class BranchTargetBuffer:
     """Fully-tagged BTB with LRU replacement over a bounded entry count."""
 
-    __slots__ = ("capacity", "_entries", "hits", "misses")
+    __slots__ = ("capacity", "_entries")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("BTB capacity must be >= 1")
         self.capacity = capacity
         self._entries: "OrderedDict[int, None]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def lookup_and_insert(self, pc: int) -> bool:
         """Probe the BTB for a taken branch at ``pc``; insert on miss.
@@ -32,9 +30,7 @@ class BranchTargetBuffer:
         """
         if pc in self._entries:
             self._entries.move_to_end(pc)
-            self.hits += 1
             return True
-        self.misses += 1
         self._entries[pc] = None
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -42,8 +38,3 @@ class BranchTargetBuffer:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 1.0

@@ -4,35 +4,60 @@ Each predictor entry is a weight vector; the prediction is the sign of the
 bias weight plus the dot product of the weights with the thread's global
 history (encoded ±1).  Training bumps weights toward the outcome whenever
 the prediction was wrong or under-confident (|output| <= θ), with the
-standard threshold θ = ⌊1.93·h + 14⌋.
+standard threshold θ = ⌊1.93·h + 14⌋; every weight saturates at ±clip,
+clip = θ + 1.
 
 Trace-driven simplifications (README, "Deviations from the paper"): the
 global history is updated with the *actual* outcome at prediction time (so
 history never needs repair on a squash), and training is applied
 immediately.  Both are standard practice in trace simulators and slightly
 flatter — equally — every policy under test.
+
+Packed layout.  An entry's weights are one Python int of h + 1 fields of
+F bits: field i < h holds history weight i plus clip, and field h holds
+the bias plus clip, so every field is a value in [0, 2·clip].  The bias
+is the weight of a history position that is always taken (Jiménez &
+Lin's x0 = 1), so it trains and saturates exactly like the others.  A
+thread's history H is one int with the same fields: field i is all ones
+where outcome i (0 the oldest) was taken and zero where it was not, and
+field h is always all ones.  With x_i = ±1, ``taken`` the number of taken
+positions (the ``bit_count()`` of ``H & ONES``, the bias included) and
+Σw the entry's weight sum, which is kept per entry:
+
+    output = Σ w_i·x_i = 2·(fieldsum(W & H) − clip·taken) − Σw
+
+``fieldsum`` is one multiply by ``ONES`` (a 1 in every field): field h of
+the product holds the sum of all h + 1 fields.  F is the bit length of
+(h + 1)·2·clip, so no partial sum of fields reaches 2**F and the product
+never carries from one field into the next.  As h + 1 >= 2, the same F
+keeps every field (at most 2·clip) below 2**(F-1), which the zero-field
+test needs: adding 2**(F-1) − 1 to such a field sets its top bit exactly
+when the field is not zero, and carries nothing out of it.  Training
+moves fields by ±1 through an increment and a decrement mask (a 1 in the
+low bit of each field that moves).  The increment mask is cleared where
+``W ^ packed(+clip)`` has a zero field (the weight is at +clip), the
+decrement mask where ``W`` itself does (``packed(−clip)`` is 0), and Σw
+moves by the difference of the masks' ``bit_count()``.  The history
+shifts right by F bits, dropping the oldest outcome.
 """
 
 from __future__ import annotations
 
-from operator import mul
 from typing import List
 
 
 class PerceptronPredictor:
     """Shared perceptron table with per-thread global histories.
 
-    Weights and histories are plain Python int lists: the vectors are a
-    dozen elements, where interpreter-level loops beat numpy's per-call
-    dispatch overhead by an order of magnitude — this sits on the fetch
-    hot path (one call per fetched branch).  The bias lives in its own
-    table so the dot product runs entirely through ``sum(map(mul, ...))``
-    (a C-level loop) with no per-call slicing.
+    One call per fetched branch and two per trace branch at warm-up, so
+    ``predict`` works on whole packed vectors (see the module docstring):
+    a handful of int operations, whatever the history length.
     """
 
     __slots__ = ("entries", "history_bits", "theta", "_weight_clip",
-                 "_bias", "_weights", "_histories", "predictions",
-                 "mispredictions")
+                 "_field_bits", "_ones", "_sum_shift", "_field_mask",
+                 "_nonzero", "_at_max", "_keep_bias", "_not_taken",
+                 "_weights", "_sums", "_histories")
 
     def __init__(self, entries: int, history_bits: int,
                  num_threads: int) -> None:
@@ -41,15 +66,24 @@ class PerceptronPredictor:
         self.entries = entries
         self.history_bits = history_bits
         self.theta = int(1.93 * history_bits + 14)
-        self._weight_clip = self.theta + 1
-        #: Per-entry bias weight; ``_weights[i]`` pair with history bits.
-        self._bias: List[int] = [0] * entries
-        self._weights: List[List[int]] = [
-            [0] * history_bits for _ in range(entries)]
-        self._histories: List[List[int]] = [
-            [-1] * history_bits for _ in range(num_threads)]
-        self.predictions = 0
-        self.mispredictions = 0
+        clip = self._weight_clip = self.theta + 1
+        fields = history_bits + 1
+        width = self._field_bits = (fields * 2 * clip).bit_length()
+        ones = self._ones = sum(1 << (i * width) for i in range(fields))
+        self._sum_shift = history_bits * width
+        self._field_mask = (1 << width) - 1
+        #: Added to a vector, sets each field's top bit iff it is nonzero.
+        self._nonzero = (ones << (width - 1)) - ones
+        self._at_max = ones * 2 * clip
+        #: XORed into a history shifted right by one field: the bias
+        #: field moved into the newest position, so restore it and, for
+        #: a not-taken outcome, clear the newest.
+        self._keep_bias = self._field_mask << self._sum_shift
+        self._not_taken = self._keep_bias | self._keep_bias >> width
+        #: Every weight 0 (fields at clip); Σw 0; histories not taken.
+        self._weights: List[int] = [ones * clip] * entries
+        self._sums: List[int] = [0] * entries
+        self._histories: List[int] = [self._keep_bias] * num_threads
 
     def predict(self, thread_id: int, pc: int, taken: bool) -> bool:
         """Predict the branch at ``pc`` and train on the actual outcome.
@@ -59,37 +93,32 @@ class PerceptronPredictor:
         index = (pc >> 2) % self.entries
         weights = self._weights[index]
         history = self._histories[thread_id]
-        output = self._bias[index] + sum(map(mul, weights, history))
-        predicted_taken = output >= 0
-        correct = predicted_taken == taken
-        self.predictions += 1
-        if not correct:
-            self.mispredictions += 1
+        ones = self._ones
+        taken_bits = history & ones
+        output = 2 * (((weights & history) * ones >> self._sum_shift
+                       & self._field_mask)
+                      - self._weight_clip * taken_bits.bit_count()) \
+            - self._sums[index]
+        correct = (output >= 0) == taken
 
         if not correct or (-output if output < 0 else output) <= self.theta:
-            step = 1 if taken else -1
-            clip = self._weight_clip
-            self._bias[index] = self._clip(self._bias[index] + step)
-            weights[:] = [
-                clip if updated > clip
-                else (-clip if updated < -clip else updated)
-                for updated in (map(int.__add__, weights, history) if taken
-                                else map(int.__sub__, weights, history))]
+            # Low bit of each field to move up and down: toward the
+            # outcome where the history agrees with it, away elsewhere.
+            up = taken_bits
+            down = up ^ ones
+            if not taken:
+                up, down = down, up
+            # Shifted down by F - 1, each field's top bit (its zero-field
+            # test) lands on the field's low bit; the masks hold only low
+            # bits, so the and drops every other bit the shift moves.
+            nonzero = self._nonzero
+            top = self._field_bits - 1
+            up &= ((weights ^ self._at_max) + nonzero) >> top
+            down &= (weights + nonzero) >> top
+            self._weights[index] = weights + up - down
+            self._sums[index] += up.bit_count() - down.bit_count()
 
         # Shift the actual outcome into this thread's global history.
-        del history[0]
-        history.append(1 if taken else -1)
+        self._histories[thread_id] = (history >> self._field_bits) ^ (
+            self._keep_bias if taken else self._not_taken)
         return correct
-
-    def _clip(self, value: int) -> int:
-        return max(-self._weight_clip, min(self._weight_clip, value))
-
-    @property
-    def accuracy(self) -> float:
-        if self.predictions == 0:
-            return 1.0
-        return 1.0 - self.mispredictions / self.predictions
-
-    def reset_history(self, thread_id: int) -> None:
-        """Clear one thread's global history (context switch)."""
-        self._histories[thread_id][:] = [-1] * self.history_bits

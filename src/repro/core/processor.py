@@ -203,10 +203,6 @@ class SMTProcessor:
                 for pc, taken in branches:
                     predict(tid, pc, taken)
         mem.reset_stats()
-        pipeline.predictor.predictions = 0
-        pipeline.predictor.mispredictions = 0
-        pipeline.btb.hits = 0
-        pipeline.btb.misses = 0
 
     @property
     def cycle(self) -> int:

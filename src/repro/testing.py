@@ -9,7 +9,7 @@ truth and cannot drift.  Nothing here depends on pytest.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .config import CacheConfig, SMTConfig
 from .isa import NO_REG, OpClass
@@ -124,3 +124,19 @@ def make_processor(traces, config: Optional[SMTConfig] = None,
     config = config or SMALL_CONFIG
     config = dataclasses.replace(config, policy=policy, **overrides)
     return SMTProcessor(config.validate(), traces)
+
+
+def perceptron_weights(predictor) -> Tuple[List[int], List[List[int]]]:
+    """A :class:`~repro.branch.perceptron.PerceptronPredictor`'s table,
+    decoded from its packed layout: each entry's bias, and each entry's
+    history weights, oldest history position first."""
+    width = predictor._field_bits
+    field_mask = (1 << width) - 1
+    clip = predictor._weight_clip
+    biases, weights = [], []
+    for packed in predictor._weights:
+        fields = [(packed >> (position * width) & field_mask) - clip
+                  for position in range(predictor.history_bits + 1)]
+        biases.append(fields.pop())
+        weights.append(fields)
+    return biases, weights

@@ -11,7 +11,8 @@ from repro.sim.runner import FULL_ENV_VAR, RunSpec, default_spec
 from repro.experiments.common import bench_workloads_per_class
 from repro.trace.generator import generate_trace
 
-from repro.testing import SMALL_CONFIG, TraceBuilder, make_processor
+from repro.testing import (SMALL_CONFIG, TraceBuilder, make_processor,
+                           perceptron_weights)
 
 
 def _result(committed=(100, 50), executed=(120, 60), cycles=100):
@@ -110,12 +111,11 @@ class TestWarmup:
         trace = generate_trace("gzip", 600, 11)
         cpu = SMTProcessor(SMALL_CONFIG.with_policy("icount"), [trace])
         assert cpu.pipeline.mem.total_stats().loads == 0
-        assert cpu.pipeline.predictor.predictions == 0
 
     def test_warmup_trains_predictor_weights(self):
         trace = generate_trace("gzip", 600, 11)
         cpu = SMTProcessor(SMALL_CONFIG.with_policy("icount"), [trace])
-        weights = cpu.pipeline.predictor._weights
+        _biases, weights = perceptron_weights(cpu.pipeline.predictor)
         assert any(w != 0 for row in weights for w in row)
 
 
