@@ -1,4 +1,4 @@
-"""Rule registration, mirroring the policies/exhibits/executors registries.
+"""Rule registration, mirroring the policies and exhibits registries.
 
 A rule is a class with a ``name``, a one-line ``description``, and a
 ``run(ctx) -> List[Finding]`` method; the :func:`rule` decorator

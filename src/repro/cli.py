@@ -27,19 +27,21 @@ statically checks the package's reproducibility invariants (see
 However many exhibits are requested, their planned simulation cells are
 unioned into **one** deduplicated batch (costliest cells first), so
 ``repro all --jobs N`` fills the worker pool exactly once and shared
-cells are simulated a single time.  ``--jobs N`` fans cells out over N
-workers of the chosen ``--backend`` (``process`` pools by default;
-``thread`` avoids pickling — see the GIL caveat in
-:mod:`repro.sim.executors`); ``--cache-dir PATH`` persists every result
-on disk so a repeated (or extended) campaign only simulates what it has
-never measured before, and additionally caches each exhibit's rendered
-output keyed by its planned cell set, so untouched figures skip even
-assembly.  ``--shard K/N`` turns the invocation into the execute-only
-stage of a distributed campaign: it simulates only the deterministic
-K-of-N slice of the batch into the shared store and renders nothing —
-run every shard (any machines, any order), then assemble with a final
-unsharded invocation.  Results are bit-identical whichever backend,
-shard split or cache served them.
+cells are simulated a single time.  ``--jobs`` alone picks the executor
+(:mod:`repro.sim.executors`): ``1`` simulates serially in this process,
+``N`` (or ``0``, one per CPU core) over a pool of worker processes.
+``--cache-dir PATH`` persists every result on disk so a repeated (or
+extended) campaign only simulates what it has never measured before,
+and additionally caches each exhibit's rendered output keyed by its
+planned cell set, so untouched figures skip even assembly.  ``--shard
+K/N`` turns the invocation into the execute-only stage of a distributed
+campaign: it simulates the manifest's deterministic K-of-N slice
+(:meth:`~repro.sim.manifest.CampaignManifest.filter_shard`) into the
+shared store and renders nothing — run every shard (any machines, any
+order), then assemble with a final unsharded invocation.  The run-loop
+tier is the ``REPRO_KERNEL`` environment switch
+(:mod:`repro.sim.kernels`).  Results are bit-identical whichever
+executor, shard split, kernel tier or cache served them.
 """
 
 from __future__ import annotations
@@ -52,14 +54,14 @@ import sys
 import time
 from typing import List, Optional
 
-from .config import KERNEL_ENV_VAR, baseline
+from .config import baseline
 from .errors import ManifestError
 from .experiments import Campaign, ExhibitContext, exhibit_names
 from .experiments.common import RENDER_FORMATS
 from .experiments.report import manifest_summary
-from .sim.engine import (ProcessPoolBackend, SerialBackend, SimEngine,
-                         set_engine)
-from .sim.executors import ShardSpec, ShardedExecutor, get_executor
+from .sim.engine import SimEngine, set_engine
+from .sim.executors import get_executor
+from .sim.manifest import ShardSpec
 from .sim.runner import RunSpec, default_spec
 from .sim.store import (EXHIBIT_DIR, DiskStore, ExhibitRenderCache,
                         MemoryStore)
@@ -67,9 +69,6 @@ from .trace.workloads import WORKLOAD_CLASSES
 
 #: File extension per --format value.
 FORMAT_EXTENSIONS = {"text": "txt", "json": "json", "csv": "csv"}
-
-#: Executors selectable via --backend ('sharded' wraps these, via --shard).
-BACKEND_CHOICES = ("serial", "process", "thread")
 
 
 def _jobs(value: str) -> int:
@@ -115,17 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="restrict to specific workload classes")
     parser.add_argument("--jobs", "-j", type=_jobs, default=1,
                         help="workers for independent simulation cells "
-                             "(default: 1 = serial; 0 = auto-detect, "
-                             "one per CPU core; results are identical "
-                             "either way)")
-    parser.add_argument("--backend", choices=BACKEND_CHOICES,
-                        default=None,
-                        help="executor running the cells: 'process' "
-                             "(worker processes, the --jobs default), "
-                             "'thread' (no pickling/spawn; see the GIL "
-                             "caveat in repro.sim.executors), or "
-                             "'serial' (default: serial when --jobs is "
-                             "1, process otherwise)")
+                             "(default: 1 = serial, in this process; N "
+                             "or 0 = a pool of N worker processes, 0 "
+                             "auto-detecting one per CPU core; results "
+                             "are identical either way)")
     parser.add_argument("--shard", type=_shard, default=None,
                         metavar="K/N",
                         help="execute-only: simulate the deterministic "
@@ -149,27 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "DIR/<exhibit>.<ext> in the chosen format")
     parser.add_argument("--no-progress", action="store_true",
                         help="suppress per-cell progress output")
-    parser.add_argument("--kernel", choices=("auto", "python"),
-                        default=None,
-                        help="run-loop tier driving each cell: 'auto' "
-                             "(default; the config-folded specialized "
-                             "kernel where the machine shape is covered, "
-                             "the portable loop elsewhere) or 'python' "
-                             "(portable loop always). Sets REPRO_KERNEL "
-                             "for this invocation, workers included; "
-                             "results are bit-identical in every tier")
     return parser
-
-
-def _apply_kernel(args: argparse.Namespace) -> None:
-    """Propagate --kernel through the ``REPRO_KERNEL`` environment knob.
-
-    The switch is an env var rather than an SMTConfig field (see
-    :func:`repro.config.kernel_mode`), so exporting it here covers the
-    in-process engine and every spawned --jobs worker alike.
-    """
-    if getattr(args, "kernel", None):
-        os.environ[KERNEL_ENV_VAR] = args.kernel
 
 
 def make_spec(args: argparse.Namespace) -> RunSpec:
@@ -185,20 +157,10 @@ def make_spec(args: argparse.Namespace) -> RunSpec:
 
 
 def make_engine(args: argparse.Namespace) -> SimEngine:
-    """Build the engine the whole invocation runs on.
-
-    The backend comes from the executor registry: an explicit
-    ``--backend``, else ``serial``/``process`` picked from ``--jobs``.
-    A ``--shard K/N`` wraps the chosen executor in a
-    :class:`~repro.sim.executors.ShardedExecutor`.
-    """
-    name = args.backend
-    if name is None:
-        name = "serial" if args.jobs == 1 else "process"
-    backend = get_executor(name, args.jobs if args.jobs > 0 else None)
-    shard = getattr(args, "shard", None)
-    if shard is not None:
-        backend = ShardedExecutor(shard, backend)
+    """Build the engine the whole invocation runs on: ``--jobs 1`` is
+    the serial executor, any other value a process pool."""
+    backend = get_executor("serial" if args.jobs == 1 else "process",
+                           args.jobs or None)
     if args.cache_dir:
         store = DiskStore(args.cache_dir)
     else:
@@ -217,11 +179,10 @@ def make_render_cache(args: argparse.Namespace
 class ProgressPrinter:
     """Per-cell campaign progress on stderr.
 
-    This is the single sink of the engine's progress callback — every
-    backend (serial, process, thread, sharded) reports through
-    ``SimEngine``'s ``(done, total, cached)`` callback, so the rendering
-    is uniform however the cells execute.  The line always carries the
-    campaign-level totals, and a sharded invocation adds its slice:
+    This is the single sink of the engine's progress callback — both
+    executors report through ``SimEngine``'s ``(done, total, cached)``
+    callback, so the rendering is uniform however the cells execute.  A
+    sharded invocation counts its slice and names the campaign:
     ``[campaign] cell 12/32 (shard 2/4 of 96-cell campaign, ...)``.
 
     On a terminal the line updates in place; otherwise milestones are
@@ -423,7 +384,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] in SUBCOMMANDS:
         return SUBCOMMANDS[argv[0]](argv[1:])
     args = build_parser().parse_args(argv)
-    _apply_kernel(args)
     if args.shard is not None and not args.cache_dir:
         print("repro-smt: error: --shard needs a shared --cache-dir — "
               "a shard's results are only useful in a store the "
@@ -456,21 +416,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.shard is not None:
             # Execute-only: simulate this shard's slice into the shared
             # store; a later unsharded invocation assembles the union.
+            owned = manifest.filter_shard(args.shard)
             progress = None
             if not args.no_progress:
                 progress = ProgressPrinter(
                     label, shard=args.shard,
                     campaign_cells=len(manifest))
             started = time.time()
-            report = engine.execute_cells(manifest.cells(),
-                                          progress=progress)
+            report = engine.execute_cells(owned, progress=progress)
             if progress is not None:
                 progress.finish()
             print(f"[{label} shard {args.shard}: executed "
-                  f"{report.owned} of {report.planned} cells | "
+                  f"{len(owned)} of {len(manifest)} cells | "
                   f"simulated={report.simulated}, "
                   f"cache_hits={report.cached}, "
-                  f"other_shards={report.skipped} | "
+                  f"other_shards={len(manifest) - len(owned)} | "
                   f"{time.time() - started:.1f}s]", file=status)
             return 0
 

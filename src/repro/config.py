@@ -171,8 +171,11 @@ class SMTConfig:
     rat_stop_fetch_in_runahead: bool = False
 
     # --- STALL/FLUSH policy details (Tullsen & Brown [17]) ----------------
-    #: Number of outstanding L2 misses a thread may have before the
-    #: long-latency handler (stall/flush/runahead trigger) engages.
+    #: Nothing reads this field: the long-latency handlers (stall, flush,
+    #: the runahead trigger) act on each detected L2 miss, whatever its
+    #: value.  It stays only because it is part of ``to_dict()``, which
+    #: keys every cached cell and every pinned benchmark cell; deleting
+    #: it re-keys them all.
     long_latency_threshold: int = 1
 
     # --- DCRA ---------------------------------------------------------------

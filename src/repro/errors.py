@@ -56,12 +56,11 @@ class ManifestError(ReproError):
 
 
 class IncompleteBatchError(ReproError):
-    """A backend finished without producing results for every cell.
+    """A backend returned without a result for every cell it was handed.
 
-    The assembly path (``SimEngine.run_cells``) needs the whole batch;
-    a sharded executor deliberately computes only its slice, so pointing
-    assembly at one is an error — execute each shard first, then
-    assemble the union from the shared store.
+    ``SimEngine`` accepts any object with a ``run(items, on_result)``
+    method as its backend; one that drops a cell would leave a hole in
+    an assembled exhibit, or a store the execute report calls full.
     """
 
     def __init__(self, missing: int, total: int, hint: str = "") -> None:

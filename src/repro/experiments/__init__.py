@@ -29,19 +29,6 @@ from .figure4 import run as figure4
 from .figure5 import run as figure5
 from .figure6 import run as figure6
 
-#: Imperative driver per exhibit name (kept for API compatibility; new
-#: code should go through the registry / Campaign).
-EXHIBITS = {
-    "table1": table1,
-    "table2": table2,
-    "figure1": figure1,
-    "figure2": figure2,
-    "figure3": figure3,
-    "figure4": figure4,
-    "figure5": figure5,
-    "figure6": figure6,
-}
-
 __all__ = [
     "Campaign",
     "Exhibit",
@@ -54,7 +41,6 @@ __all__ = [
     "all_exhibits",
     "exhibit_names",
     "get_exhibit",
-    "EXHIBITS",
     "table1",
     "table2",
     "figure1",

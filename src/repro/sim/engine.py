@@ -1,12 +1,10 @@
-"""Pluggable simulation engine: execution backends + result store.
+"""Simulation engine: one executor + one result store.
 
 The whole experiment stack (sweeps, the figure/table drivers, the CLI)
 funnels every simulation through a :class:`SimEngine`.  An engine owns
 
-* a **backend** deciding *where* cells execute — any executor from the
-  registry in :mod:`repro.sim.executors` (``serial``, ``process``,
-  ``thread``, or a :class:`~repro.sim.executors.ShardedExecutor` slice
-  of a campaign);
+* a **backend** deciding *where* cells execute — ``serial`` or
+  ``process`` from :mod:`repro.sim.executors`;
 * a **store** (:mod:`repro.sim.store`) deciding *whether* a cell needs
   executing at all — results are content-addressed by a stable hash of
   (workload, policy, config, spec, code-version salt), so an engine with
@@ -20,11 +18,12 @@ traces and runs the processor — so serial and parallel execution produce
 bit-identical results and completion order never matters.
 
 Two engine entry points map onto the campaign dataflow
-(:mod:`repro.sim.manifest`): :meth:`SimEngine.run_cells` is the
-*assembly* path (every cell must resolve to a run; a sharded backend
-therefore fails it by design) and :meth:`SimEngine.execute_cells` is the
-*execute* path (fill the store with whatever slice of the batch this
-invocation owns, report counts, return no runs).
+(:mod:`repro.sim.manifest`), and both hand the cells they cannot serve
+to one simulate-and-record path: :meth:`SimEngine.run_cells` is the
+*assembly* path (every cell resolves to a run) and
+:meth:`SimEngine.execute_cells` the *execute* path (fill the store with
+the cells it is given — a shard passes its slice of the manifest —
+report counts, return no runs).
 
 A process-wide default engine (:func:`get_engine` / :func:`set_engine`)
 preserves the historical module-level memoization API: bare
@@ -36,14 +35,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..config import SMTConfig, baseline
 from ..core.processor import SimResult
 from ..errors import IncompleteBatchError
 from ..trace.workloads import Workload
 from .executors import (ProcessPoolBackend, SerialBackend,  # noqa: F401
-                        ThreadPoolBackend, batch_traces, simulate_cell)
+                        batch_traces, simulate_cell)
 from .runner import RunSpec, WorkloadRun, default_spec
 from .store import MemoryStore, ResultStore, cache_key
 
@@ -171,23 +170,12 @@ class EngineCounters:
 
 @dataclasses.dataclass(frozen=True)
 class ExecutionReport:
-    """How one :meth:`SimEngine.execute_cells` invocation went.
+    """How one :meth:`SimEngine.execute_cells` invocation went: of its
+    deduplicated cells, ``cached`` were already in the store and
+    ``simulated`` were computed fresh."""
 
-    ``planned`` counts the whole deduplicated batch; ``owned`` the cells
-    this invocation was responsible for after the backend's shard filter
-    (equal to ``planned`` for unsharded executors); ``cached`` of those
-    were already in the store and ``simulated`` were computed fresh.
-    """
-
-    planned: int
-    owned: int
     cached: int
     simulated: int
-
-    @property
-    def skipped(self) -> int:
-        """Cells other shards own (0 for unsharded executors)."""
-        return self.planned - self.owned
 
 
 class SimEngine:
@@ -246,22 +234,44 @@ class SimEngine:
             return run
         return None
 
+    def _simulate(self, cells: Dict[str, SweepCell],
+                  on_run: Callable[[str, WorkloadRun], None]) -> None:
+        """The simulate-and-record path both entry points share.
+
+        Hands ``cells`` (key -> cell) to the backend in one batch, so a
+        parallel backend overlaps every outstanding simulation; each
+        result is counted, stored and memoized, then passed to
+        ``on_run``.
+        """
+        reported = 0
+
+        def _on_result(key: str, result: SimResult) -> None:
+            nonlocal reported
+            reported += 1
+            self.counters.simulated += 1
+            self.store.put(key, result)
+            run = self._memo[key] = self._wrap(cells[key], result)
+            on_run(key, run)
+
+        self.backend.run(list(cells.items()), _on_result)
+        if reported != len(cells):
+            raise IncompleteBatchError(
+                len(cells) - reported, len(cells),
+                hint="a backend must report every cell it is handed")
+
     def run_cells(self, cells: Sequence[SweepCell],
                   progress: Optional[ProgressFn] = None
                   ) -> List[WorkloadRun]:
         """Execute a batch of cells, returning runs in input order.
 
         Cached cells are served from the store; the rest are deduplicated
-        and handed to the backend in one batch, so a parallel backend
-        overlaps every outstanding simulation of a campaign.
+        and simulated in one batch.
 
         ``progress`` defaults to the engine-level callback; pass
         ``False`` to silence it for internal bookkeeping lookups.
         """
         if progress is None:
             progress = self.progress
-        elif progress is False:
-            progress = None
         cells = list(cells)
         total = len(cells)
         results: List[Optional[WorkloadRun]] = [None] * total
@@ -281,28 +291,16 @@ class SimEngine:
         if progress:
             progress(done, total, cached)
 
-        def _on_result(key: str, result: SimResult) -> None:
+        def _on_run(key: str, run: WorkloadRun) -> None:
             nonlocal done
-            self.counters.simulated += 1
-            self.store.put(key, result)
-            run = self._wrap(waiting_cells[key], result)
-            self._memo[key] = run
             for index in waiting[key]:
                 results[index] = run
                 done += 1
             if progress:
                 progress(done, total, cached)
 
-        if waiting:
-            items = [(key, waiting_cells[key]) for key in waiting]
-            self.backend.run(items, _on_result)
-        if done != total:
-            raise IncompleteBatchError(
-                total - done, total,
-                hint="assembly needs every cell; a sharded executor "
-                     "computes only its slice — run each shard's "
-                     "execute stage first, then assemble with an "
-                     "unsharded backend against the shared store")
+        if waiting_cells:
+            self._simulate(waiting_cells, _on_run)
         return results  # type: ignore[return-value]
 
     def execute_cells(self, cells: Sequence[SweepCell],
@@ -310,56 +308,36 @@ class SimEngine:
                       ) -> "ExecutionReport":
         """The *execute* stage: fill the store, return counts — no runs.
 
-        Deduplicates the batch, applies the backend's shard filter (an
-        executor exposing ``select`` — e.g.
-        :class:`~repro.sim.executors.ShardedExecutor` — owns only part
-        of a batch), simulates whichever owned cells the store does not
-        already hold, and reports how the batch was satisfied.  Progress
-        goes through the same single callback as :meth:`run_cells`:
-        ``(done, total, cached)`` over this invocation's *owned* cells,
-        however the backend executes them.
+        Deduplicates the batch, simulates whichever cells the store does
+        not already hold, and reports how the batch was satisfied.
+        Progress goes through the same single callback as
+        :meth:`run_cells`: ``(done, total, cached)`` over the
+        deduplicated cells.
         """
         if progress is None:
             progress = self.progress
-        elif progress is False:
-            progress = None
         unique: Dict[str, SweepCell] = {}
         for cell in cells:
             unique.setdefault(cell.key(), cell)
-        items = list(unique.items())
-        select = getattr(self.backend, "select", None)
-        owned = list(select(items)) if select is not None else items
-        total = len(owned)
-        done = 0
-        pending = []
-        for key, cell in owned:
-            # Existence check only: this stage never consumes the
-            # results, so re-running a shard over a populated store
-            # costs a stat per cell, not a read+parse.
-            if key in self._memo or self.store.contains(key):
-                done += 1
-            else:
-                pending.append((key, cell))
-        cached = done
+        # Existence check only: this stage never consumes the results,
+        # so re-running a shard over a populated store costs a stat per
+        # cell, not a read+parse.
+        pending = {key: cell for key, cell in unique.items()
+                   if key not in self._memo and not self.store.contains(key)}
+        total = len(unique)
+        done = cached = total - len(pending)
         if progress:
             progress(done, total, cached)
 
-        def _on_result(key: str, result: SimResult) -> None:
+        def _on_run(key: str, run: WorkloadRun) -> None:
             nonlocal done
-            self.counters.simulated += 1
-            self.store.put(key, result)
-            self._memo[key] = self._wrap(unique[key], result)
             done += 1
             if progress:
                 progress(done, total, cached)
 
         if pending:
-            # `pending` is already shard-filtered; `select` is a pure
-            # function of the keys, so the backend re-applying it in
-            # run() selects the same subset.
-            self.backend.run(pending, _on_result)
-        return ExecutionReport(planned=len(items), owned=total,
-                               cached=cached, simulated=len(pending))
+            self._simulate(pending, _on_run)
+        return ExecutionReport(cached=cached, simulated=len(pending))
 
     def run_index(self, cells: Sequence[SweepCell],
                   progress: Optional[ProgressFn] = None) -> RunIndex:

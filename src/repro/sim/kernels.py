@@ -1,13 +1,12 @@
-"""The kernel registry: which run-loop implementation drives a cell.
+"""Which run loop drives a cell: the portable loop or the derived kernel.
 
-Mirrors the executor/policy/exhibit registries: implementations register
-under a CLI-visible name, and :func:`resolve_run_loop` picks one per
+:func:`resolve_run_loop` picks one per
 :meth:`SMTProcessor.run <repro.core.processor.SMTProcessor.run>` call.
 Two tiers exist:
 
 ``python``
     The portable FAME measurement loop (the reference implementation,
-    moved verbatim from ``SMTProcessor.run``).  Every other tier must
+    moved verbatim from ``SMTProcessor.run``).  The other tier must
     match it bit for bit.
 
 ``specialized``
@@ -33,33 +32,15 @@ for knob resolution.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable
 
 from ..config import kernel_mode
-
-#: Registered kernel tiers, name -> resolver.  A resolver takes a
-#: pipeline and returns a run loop ``(pipeline, min_passes, cap) ->
-#: bool`` (True = truncated at the cycle cap), or None to decline.
-_KERNELS: Dict[str, Callable] = {}
-
-
-def kernel(name: str) -> Callable:
-    """Decorator registering a kernel resolver under a CLI name."""
-    def _register(func: Callable) -> Callable:
-        _KERNELS[name] = func
-        return func
-    return _register
-
-
-def kernel_names() -> Tuple[str, ...]:
-    """All registered kernel tier names, sorted."""
-    return tuple(sorted(_KERNELS))
 
 
 def python_run_loop(pipeline, min_passes: int, cap: int) -> bool:
     """The portable FAME loop: advance until every thread finishes its
     passes, or the cycle cap truncates the run.  Reference semantics for
-    every other tier (bit-identity is pinned by the golden-digest and
+    the derived kernel (bit-identity is pinned by the golden-digest and
     equivalence suites run across tiers)."""
     threads = pipeline.threads
     advance = pipeline.advance
@@ -76,19 +57,9 @@ def python_run_loop(pipeline, min_passes: int, cap: int) -> bool:
         advance(cap)
 
 
-@kernel("python")
-def _python_kernel(pipeline):
-    return python_run_loop
-
-
-@kernel("specialized")
-def _specialized_kernel(pipeline):
-    from ..core.kernel_cache import specialized_run_loop
-    return specialized_run_loop(pipeline)
-
-
 def resolve_run_loop(pipeline) -> Callable:
-    """Pick the run loop for one ``run()`` call.
+    """Pick the run loop ``(pipeline, min_passes, cap) -> truncated``
+    for one ``run()`` call.
 
     ``python`` forces the portable loop; ``auto`` requests the
     specializer and falls back to the portable loop for any shape it
@@ -99,7 +70,10 @@ def resolve_run_loop(pipeline) -> Callable:
     """
     if kernel_mode() == "python":
         return python_run_loop
-    loop = _KERNELS["specialized"](pipeline)
+    # Imported here, not at module level: a python-tier run never loads
+    # the kernel derivation.
+    from ..core.kernel_cache import specialized_run_loop
+    loop = specialized_run_loop(pipeline)
     if loop is None:
         return python_run_loop
     return loop

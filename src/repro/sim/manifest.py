@@ -12,10 +12,11 @@ shardable:
 * **plan** — ``Campaign.plan()`` emits the manifest; it is a pure
   function of the exhibit set and context, so every machine planning
   the same campaign derives the same manifest;
-* **execute** — each worker runs ``manifest.shard(ShardSpec(k, n))``
-  worth of cells into a shared :class:`~repro.sim.store.DiskStore`
-  (``SimEngine.execute_cells``); the K/N filter hashes only the entry
-  keys, so shards are disjoint, exhaustive and machine-independent;
+* **execute** — each worker runs the cells of
+  ``manifest.filter_shard(ShardSpec(k, n))`` into a shared
+  :class:`~repro.sim.store.DiskStore` (``SimEngine.execute_cells``); the
+  K/N filter hashes only the entry keys, so shards are disjoint,
+  exhaustive and machine-independent;
 * **assemble** — any machine turns ``(manifest, store)`` into rendered
   exhibits; per-exhibit ``render_key`` values let untouched figures be
   served from the exhibit-render cache without touching a single run.
@@ -42,12 +43,17 @@ from ..config import SMTConfig
 from ..errors import ManifestError
 from ..trace.workloads import Workload
 from .engine import SweepCell
-from .executors import ShardSpec
 from .runner import RunSpec
 from .store import CODE_VERSION_SALT, EXHIBIT_RENDER_SALT, canonical_json
 
 #: Manifest document schema identifier.
 MANIFEST_SCHEMA = "repro-manifest-v1"
+
+#: How many leading hex digits of a cell key feed the shard residue.
+#: 16 digits = 64 bits, far beyond any campaign size; the prefix (not
+#: the whole 256-bit digest) keeps the arithmetic cheap and the
+#: assignment trivially reproducible in shell/CI tooling.
+_SHARD_HEX_DIGITS = 16
 
 
 def exhibit_render_key(name: str, version: int,
@@ -137,6 +143,48 @@ class ExhibitPlan:
                    version=data["version"],
                    cell_keys=tuple(data["cells"]),
                    render_key=data["render_key"])
+
+
+@dataclasses.dataclass(frozen=True)
+class ShardSpec:
+    """One machine's deterministic slice of a campaign: shard K of N."""
+
+    index: int   # 1-based, 1 <= index <= count
+    count: int
+
+    def __post_init__(self) -> None:
+        if self.count < 1 or not 1 <= self.index <= self.count:
+            raise ManifestError(
+                f"invalid shard {self.index}/{self.count}: need "
+                f"1 <= K <= N")
+
+    @classmethod
+    def parse(cls, text: str) -> "ShardSpec":
+        """Parse the CLI form ``K/N`` (e.g. ``2/4``).
+
+        Out-of-range values (``0/4``, ``5/4``) raise from
+        ``__post_init__`` and pass through untouched.
+        """
+        try:
+            index_text, count_text = text.split("/", 1)
+            return cls(int(index_text), int(count_text))
+        except ValueError:
+            raise ManifestError(
+                f"invalid --shard {text!r}: expected K/N, e.g. 2/4"
+            ) from None
+
+    def owns(self, key: str) -> bool:
+        """Whether this shard is responsible for a cell key.
+
+        Assignment hashes the key's leading hex digits into a residue
+        class, so it depends only on the key text — every machine, CI
+        job and Python version agrees on the split.
+        """
+        return int(key[:_SHARD_HEX_DIGITS], 16) % self.count == \
+            self.index - 1
+
+    def __str__(self) -> str:
+        return f"{self.index}/{self.count}"
 
 
 @dataclasses.dataclass(frozen=True)

@@ -17,8 +17,6 @@ import os
 from typing import Dict, List, Optional
 
 from ..core.processor import SimResult
-from ..trace.generator import generate_trace
-from ..trace.trace import Trace
 from ..trace.workloads import Workload
 
 #: Environment variable selecting longer, higher-fidelity runs.
@@ -94,12 +92,6 @@ def clear_run_cache() -> None:
     """
     from .engine import get_engine
     get_engine().clear()
-
-
-def build_traces(workload: Workload, spec: RunSpec) -> List[Trace]:
-    """Generate (memoized) traces for each thread of a workload."""
-    return [generate_trace(name, spec.trace_len, spec.seed)
-            for name in workload.benchmarks]
 
 
 def run_workload(workload: Workload, policy: str,

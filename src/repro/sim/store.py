@@ -88,7 +88,7 @@ def atomic_write_json(path: str, payload, indent=None,
 
     The payload lands in a same-directory temp file first and is moved
     into place with ``os.replace`` — atomic on POSIX — so a concurrent
-    reader (another sharded executor on the same ``--cache-dir``) sees
+    reader (another ``--shard`` run on the same ``--cache-dir``) sees
     either the complete old content, the complete new content, or no
     file; never a partial JSON document.  A crash mid-write leaves only
     a ``*.tmp`` orphan, which loaders and :meth:`DiskStore.entries`
@@ -122,6 +122,32 @@ def result_checksum(result: Dict) -> str:
     """sha256 of a stored result's canonical JSON: an entry whose
     payload was edited under its own key no longer matches it."""
     return hashlib.sha256(canonical_json(result).encode("utf-8")).hexdigest()
+
+
+def _write_entry(path: str, key: str, salt: str, document: Dict) -> None:
+    """Persist one cache entry atomically: its key, its salt, the
+    document and the document's :func:`result_checksum`."""
+    atomic_write_json(path, {"key": key, "salt": salt, "result": document,
+                             "checksum": result_checksum(document)})
+
+
+def _read_entry(path: str, key: str, salt: str) -> Optional[Dict]:
+    """The document of the entry at ``path``, or ``None``.
+
+    ``None`` also when the entry is unreadable, misfiled (copied or
+    renamed under another key), written under another salt, or edited
+    after it was written: serving it would hand ``key`` someone else's
+    document.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        if data["key"] != key or data["salt"] != salt or \
+                data.get("checksum") != result_checksum(data["result"]):
+            return None
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return data["result"]
 
 
 def cache_key(workload, policy, config, spec,
@@ -222,6 +248,35 @@ class PruneResult:
     removed: int = 0
     bytes_freed: int = 0
     kept: int = 0
+
+
+def _entry_salt(path: str) -> Optional[str]:
+    """The salt an entry was written under; ``None`` when the entry is
+    unreadable or fails its checksum (it can never hit)."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        if payload.get("checksum") == result_checksum(payload.get("result")):
+            return payload.get("salt")
+    except (OSError, ValueError, AttributeError):
+        pass
+    return None
+
+
+def _scan_entries(paths: Iterable[str],
+                  need_salt: bool) -> Iterator[CacheEntry]:
+    """Metadata of each ``<key>.json`` entry among ``paths``."""
+    for path in paths:
+        filename = os.path.basename(path)
+        if not filename.endswith(".json"):
+            continue
+        try:
+            stat = os.stat(path)
+        except OSError:
+            continue
+        yield CacheEntry(key=filename[:-len(".json")], path=path,
+                         salt=_entry_salt(path) if need_salt else None,
+                         mtime=stat.st_mtime, size_bytes=stat.st_size)
 
 
 def _pool_stats(root: str, entries: Iterable[CacheEntry], current_salt: str,
@@ -343,18 +398,12 @@ class DiskStore(ResultStore):
         cached = self._memory.get(key)
         if cached is not None:
             return cached
+        document = _read_entry(self._path(key), key, CODE_VERSION_SALT)
+        if document is None:
+            return None
         try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            if data["key"] != key or data["salt"] != CODE_VERSION_SALT \
-                    or data.get("checksum") != result_checksum(
-                        data["result"]):
-                # Misfiled (copied or renamed under another cell's key),
-                # written by other code, or edited after it was written:
-                # serving it would hand this cell someone else's result.
-                return None
-            result = SimResult.from_dict(data["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+            result = SimResult.from_dict(document)
+        except (ValueError, KeyError, TypeError):
             return None
         self._memory[key] = result
         return result
@@ -370,28 +419,10 @@ class DiskStore(ResultStore):
         checksum (or has none) reports ``salt=None``, like unreadable
         JSON: it can never hit.
         """
-        for dirpath, _dirnames, filenames in self._walk():
-            for filename in filenames:
-                if not filename.endswith(".json"):
-                    continue
-                path = os.path.join(dirpath, filename)
-                try:
-                    stat = os.stat(path)
-                except OSError:
-                    continue
-                salt: Optional[str] = None
-                if need_salt:
-                    try:
-                        with open(path, "r", encoding="utf-8") as handle:
-                            payload = json.load(handle)
-                        if payload.get("checksum") == result_checksum(
-                                payload.get("result")):
-                            salt = payload.get("salt")
-                    except (OSError, ValueError, AttributeError):
-                        salt = None
-                yield CacheEntry(key=filename[:-len(".json")], path=path,
-                                 salt=salt, mtime=stat.st_mtime,
-                                 size_bytes=stat.st_size)
+        return _scan_entries((os.path.join(dirpath, filename)
+                              for dirpath, _dirnames, filenames
+                              in self._walk() for filename in filenames),
+                             need_salt)
 
     def stats(self) -> Dict:
         """Aggregate store statistics, grouped by code-version salt."""
@@ -427,14 +458,12 @@ class DiskStore(ResultStore):
         # in the memory layer), so a full disk or read-only cache must
         # not abort a campaign — it just forfeits reuse of this entry.
         # The atomic temp-file + os.replace protocol is what lets N
-        # sharded executors share one cache directory: a reader can
+        # ``--shard`` runs share one cache directory: a reader can
         # never observe a torn entry, only a hit or a miss.
         self._memory[key] = result
-        data = result.to_dict()
-        payload = {"key": key, "salt": CODE_VERSION_SALT, "result": data,
-                   "checksum": result_checksum(data)}
         try:
-            atomic_write_json(self._path(key), payload)
+            _write_entry(self._path(key), key, CODE_VERSION_SALT,
+                         result.to_dict())
         except OSError:
             pass
 
@@ -449,8 +478,10 @@ class ExhibitRenderCache:
     exhibit's planned cell-key set, its ``version``, the assembly
     context and ``EXHIBIT_RENDER_SALT`` — so a hit proves the exhibit
     would assemble to exactly this document and ``repro all`` can skip
-    untouched figures without reading a single run.  Writes use the same
-    atomic protocol as the result store; unreadable entries are misses.
+    untouched figures without reading a single run.  Entries are written
+    and verified like the result store's: atomically, with their key,
+    salt and checksum, so an unreadable, misfiled, edited or other-salt
+    entry is a miss.
     """
 
     def __init__(self, root: str) -> None:
@@ -468,14 +499,9 @@ class ExhibitRenderCache:
 
     def get(self, render_key: str) -> Optional[Dict]:
         """The cached ``ExhibitResult.to_dict()`` payload, or ``None``."""
-        try:
-            with open(self._path(render_key), "r",
-                      encoding="utf-8") as handle:
-                payload = json.load(handle)
-            document = payload["result"]
-            if not isinstance(document, dict):
-                raise ValueError("malformed cache entry")
-        except (OSError, ValueError, KeyError, TypeError):
+        document = _read_entry(self._path(render_key), render_key,
+                               EXHIBIT_RENDER_SALT)
+        if not isinstance(document, dict):
             self.misses += 1
             return None
         self.hits += 1
@@ -484,11 +510,9 @@ class ExhibitRenderCache:
     def put(self, render_key: str, document: Dict) -> None:
         """Persist one rendering (best-effort, atomic)."""
         self.puts += 1
-        payload = {"render_key": render_key,
-                   "salt": EXHIBIT_RENDER_SALT,
-                   "result": document}
         try:
-            atomic_write_json(self._path(render_key), payload)
+            _write_entry(self._path(render_key), render_key,
+                         EXHIBIT_RENDER_SALT, document)
         except OSError:
             pass
 
@@ -501,30 +525,15 @@ class ExhibitRenderCache:
     # stats / prune contract as DiskStore, against the render salt.
 
     def entries(self, need_salt: bool = True) -> Iterator[CacheEntry]:
-        """Scan the cached renderings (metadata only), in key order."""
+        """Scan the cached renderings (metadata only), in key order; an
+        entry that fails its checksum reports ``salt=None``, as in
+        :meth:`DiskStore.entries`."""
         try:
             filenames = sorted(os.listdir(self.root))
         except OSError:
-            return
-        for filename in filenames:
-            if not filename.endswith(".json"):
-                continue
-            path = os.path.join(self.root, filename)
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            salt: Optional[str] = None
-            if need_salt:
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        payload = json.load(handle)
-                    salt = payload.get("salt")
-                except (OSError, ValueError):
-                    salt = None
-            yield CacheEntry(key=filename[:-len(".json")], path=path,
-                             salt=salt, mtime=stat.st_mtime,
-                             size_bytes=stat.st_size)
+            filenames = []
+        return _scan_entries((os.path.join(self.root, filename)
+                              for filename in filenames), need_salt)
 
     def stats(self) -> Dict:
         """Aggregate render-pool statistics, grouped by render salt."""

@@ -1,14 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import re
 
 import pytest
 
 from repro.cli import build_parser, main, make_engine, make_spec
-from repro.sim.executors import (ShardSpec, ShardedExecutor,
-                                 ThreadPoolBackend)
-from repro.sim.manifest import CampaignManifest
+from repro.sim.executors import ProcessPoolBackend, SerialBackend
+from repro.sim.manifest import CampaignManifest, ShardSpec
 from repro.sim.runner import RunSpec
+from repro.sim.store import DiskStore
 
 TINY_ARGS = ["--trace-len", "300", "--workloads-per-class", "1",
              "--classes", "MEM2"]
@@ -56,37 +58,35 @@ class TestMain:
 
 
 class TestBackendFlag:
-    def test_thread_backend_selected(self):
-        args = build_parser().parse_args(
-            ["figure1", "--backend", "thread", "--jobs", "3"])
-        backend = make_engine(args).backend
-        assert isinstance(backend, ThreadPoolBackend)
-        assert backend.jobs == 3
+    """``--jobs`` alone picks the backend."""
 
-    def test_shard_wraps_backend(self, tmp_path):
-        args = build_parser().parse_args(
-            ["figure1", "--shard", "2/4", "--jobs", "2",
-             "--cache-dir", str(tmp_path)])
-        backend = make_engine(args).backend
-        assert isinstance(backend, ShardedExecutor)
-        assert backend.shard == ShardSpec(2, 4)
+    @pytest.mark.parametrize("jobs,backend,workers", [
+        ("1", SerialBackend, 1),
+        ("3", ProcessPoolBackend, 3),
+        ("0", ProcessPoolBackend, os.cpu_count() or 1),
+    ], ids=["serial", "process-3", "process-auto"])
+    def test_jobs_picks_executor(self, jobs, backend, workers):
+        engine = make_engine(build_parser().parse_args(
+            ["figure1", "--jobs", jobs]))
+        assert type(engine.backend) is backend
+        assert engine.backend.jobs == workers
 
     def test_bad_shard_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure1", "--shard", "4/2"])
 
-    def test_thread_backend_output_matches_serial(self, capsys):
+    def test_jobs_output_matches_serial(self, capsys):
         def table_lines(text):
             # Everything except the timing status line, which varies.
             return [line for line in text.splitlines()
                     if not line.startswith("[figure1 regenerated")]
 
-        assert main(["figure1", *TINY_ARGS, "--no-progress"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["figure1", *TINY_ARGS, "--no-progress",
-                     "--backend", "thread", "--jobs", "2"]) == 0
-        threaded = capsys.readouterr().out
-        assert table_lines(serial) == table_lines(threaded)
+        outputs = []
+        for jobs in ("1", "2", "0"):
+            assert main(["figure1", *TINY_ARGS, "--no-progress",
+                         "--jobs", jobs]) == 0
+            outputs.append(table_lines(capsys.readouterr().out))
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestPlanSubcommand:
@@ -140,6 +140,23 @@ class TestPlanSubcommand:
 
 
 class TestShardExecuteOnly:
+    def test_shard_simulates_exactly_its_slice(self, tmp_path, capsys):
+        assert main(["plan", "figure1", *TINY_ARGS]) == 0
+        manifest = CampaignManifest.from_json(capsys.readouterr().out)
+        owned = manifest.filter_shard(ShardSpec(1, 2))
+        assert 0 < len(owned) < len(manifest)
+        cache = str(tmp_path / "cache")
+        assert main(["figure1", *TINY_ARGS, "--no-progress",
+                     "--shard", "1/2", "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        assert sorted(entry.key for entry in DiskStore(cache).entries()) \
+            == sorted(owned.keys())
+        assert re.fullmatch(
+            rf"\[figure1 shard 1/2: executed {len(owned)} of "
+            rf"{len(manifest)} cells \| simulated={len(owned)}, "
+            rf"cache_hits=0, other_shards={len(manifest) - len(owned)} "
+            rf"\| \d+\.\ds\]\n", out)
+
     def test_shard_renders_nothing(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         assert main(["figure1", *TINY_ARGS, "--no-progress",

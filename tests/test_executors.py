@@ -1,27 +1,28 @@
-"""Executor registry: thread backend, sharded execution, engine paths.
+"""Executors and the engine's two entry points.
 
-Covers the *execute* stage of the manifest dataflow: every executor
-produces bit-identical results; a sharded executor touches only its
-slice; ``SimEngine.execute_cells`` fills a shared store so that the
-union of shards assembles with zero simulations; and the assembly path
-(``run_cells``) refuses a partial batch loudly.
+Covers the *execute* stage of the manifest dataflow: ``--jobs`` picks
+the serial or process executor; ``SimEngine.execute_cells`` fills a
+shared store with a shard's slice so that the union of shards assembles
+with zero simulations; and both entry points refuse a backend that drops
+a cell.
 """
 
 import json
 import pickle
+import re
 
 import pytest
 
+from repro.cli import main
 from repro.config import baseline
 from repro.errors import (CellError, IncompleteBatchError, ReproError,
                           SimulationError)
 from repro.sim.engine import SimEngine, SweepCell
 from repro.sim.executors import (ProcessPoolBackend, SerialBackend,
-                                 ShardSpec, ShardedExecutor,
-                                 ThreadPoolBackend, executor_names,
                                  get_executor)
+from repro.sim.manifest import CampaignManifest, ShardSpec
 from repro.sim.runner import RunSpec
-from repro.sim.store import DiskStore
+from repro.sim.store import DiskStore, MemoryStore
 from repro.trace.workloads import Workload
 
 TINY = RunSpec(trace_len=240, seed=3, max_cycles=200_000)
@@ -50,80 +51,61 @@ def split_spec():
     raise AssertionError("CELLS never split; extend the cell list")
 
 
-class TestRegistry:
-    def test_names(self):
-        assert set(executor_names()) >= {"serial", "process", "thread",
-                                         "sharded"}
+def shard_cells(shard):
+    """The cells of CELLS a shard owns, as a manifest slice holds them."""
+    return [cell for cell in CELLS if shard.owns(cell.key())]
 
+
+class TestRegistry:
     def test_get_executor(self):
         assert isinstance(get_executor("serial"), SerialBackend)
-        assert get_executor("thread", 3).jobs == 3
         assert get_executor("process", 2).jobs == 2
-        assert get_executor("thread", None).jobs >= 1
+        assert get_executor("process", None).jobs >= 1
 
     def test_unknown_executor(self):
         with pytest.raises(ValueError, match="unknown executor"):
             get_executor("gpu")
 
-    def test_sharded_needs_explicit_construction(self):
-        with pytest.raises(ValueError, match="wraps another"):
-            get_executor("sharded")
+
+class DroppingBackend:
+    """A backend that returns without reporting the last cell it got."""
+
+    def run(self, items, on_result):
+        SerialBackend().run(items[:-1], on_result)
 
 
-class TestThreadBackend:
-    def test_bit_identical_to_serial(self):
-        serial = SimEngine(backend=SerialBackend())
-        threaded = SimEngine(backend=ThreadPoolBackend(jobs=4))
-        assert fingerprints(threaded.run_cells(CELLS)) == \
-            fingerprints(serial.run_cells(CELLS))
-        assert threaded.counters.simulated == len(CELLS)
-
-    def test_single_job_degenerates_to_serial(self):
-        engine = SimEngine(backend=ThreadPoolBackend(jobs=1))
-        assert len(engine.run_cells(CELLS[:2])) == 2
-
-
-class TestShardedExecutor:
-    def test_select_filters_deterministically(self):
-        count = split_spec()
-        items = [(cell.key(), cell) for cell in CELLS]
-        selected = []
-        for k in range(1, count + 1):
-            executor = ShardedExecutor(ShardSpec(k, count))
-            owned = executor.select(items)
-            assert owned == executor.select(items)  # stable
-            selected.extend(key for key, _cell in owned)
-        assert sorted(selected) == sorted(key for key, _cell in items)
-
+class TestIncompleteBatch:
     def test_run_cells_refuses_partial_batch(self):
-        count = split_spec()
-        engine = SimEngine(
-            backend=ShardedExecutor(ShardSpec(1, count)))
-        with pytest.raises(IncompleteBatchError, match="shard"):
+        engine = SimEngine(backend=DroppingBackend())
+        with pytest.raises(IncompleteBatchError,
+                           match=f"{len(CELLS) - 1} of {len(CELLS)} "):
             engine.run_cells(CELLS)
 
+    def test_execute_cells_refuses_partial_batch(self):
+        engine = SimEngine(backend=DroppingBackend())
+        with pytest.raises(IncompleteBatchError,
+                           match=f"{len(CELLS) - 1} of {len(CELLS)} "):
+            engine.execute_cells(CELLS)
+
+
+class TestShards:
     def test_execute_cells_owns_only_its_slice(self, tmp_path):
-        count = split_spec()
+        owned = shard_cells(ShardSpec(1, split_spec()))
+        assert 0 < len(owned) < len(CELLS)
         store = DiskStore(str(tmp_path / "cache"))
-        engine = SimEngine(
-            backend=ShardedExecutor(ShardSpec(1, count)),
-            store=store)
-        report = engine.execute_cells(CELLS)
-        assert report.planned == len(CELLS)
-        assert 0 < report.owned < len(CELLS)
-        assert report.simulated == report.owned
-        assert report.skipped == report.planned - report.owned
-        assert engine.counters.simulated == report.owned
+        engine = SimEngine(store=store)
+        report = engine.execute_cells(owned)
+        assert (report.cached, report.simulated) == (0, len(owned))
+        assert engine.counters.simulated == len(owned)
+        assert sorted(entry.key for entry in store.entries()) == \
+            sorted(cell.key() for cell in owned)
 
     def test_shard_union_assembles_with_zero_simulations(self, tmp_path):
         count = split_spec()
         cache = str(tmp_path / "cache")
         for k in range(1, count + 1):
-            engine = SimEngine(
-                backend=ShardedExecutor(ShardSpec(k, count),
-                                        SerialBackend()),
-                store=DiskStore(cache))
-            engine.execute_cells(CELLS)
+            engine = SimEngine(store=DiskStore(cache))
+            engine.execute_cells(shard_cells(ShardSpec(k, count)))
 
         assembler = SimEngine(store=DiskStore(cache))
         runs = assembler.run_cells(CELLS)
@@ -141,11 +123,22 @@ class TestShardedExecutor:
         assert report.simulated == 0
         assert report.cached == len(CELLS)
 
+    def test_execute_skips_stored_cells_without_reading_them(self):
+        store = MemoryStore()
+        SimEngine(store=store).execute_cells(CELLS)
+
+        def no_reads(key):
+            raise AssertionError("execute_cells read a stored result")
+
+        store.get = no_reads
+        report = SimEngine(store=store).execute_cells(CELLS)
+        assert (report.cached, report.simulated) == (len(CELLS), 0)
+
 
 class TestExecuteProgress:
-    """Satellite: one callback, campaign totals, uniform across backends."""
+    """One callback, campaign totals, uniform across backends."""
 
-    @pytest.mark.parametrize("backend_name", ["serial", "thread"])
+    @pytest.mark.parametrize("backend_name", ["serial", "process"])
     def test_progress_reports_owned_totals(self, backend_name):
         calls = []
         engine = SimEngine(backend=get_executor(backend_name, 2))
@@ -159,16 +152,23 @@ class TestExecuteProgress:
                    for _done, total, _cached in calls)
         assert calls[-1][0] == len(CELLS)
 
-    def test_sharded_progress_counts_only_owned_cells(self):
-        count = split_spec()
-        calls = []
-        engine = SimEngine(
-            backend=ShardedExecutor(ShardSpec(1, count)))
-        report = engine.execute_cells(CELLS, progress=lambda *args:
-                                      calls.append(args))
-        assert all(total == report.owned
-                   for _done, total, _cached in calls)
-        assert calls[-1][0] == report.owned
+    def test_sharded_progress_counts_only_owned_cells(self, tmp_path,
+                                                      capsys):
+        """A ``--shard`` run's progress counts its slice of the
+        manifest and names the whole campaign."""
+        args = ["figure1", "--trace-len", "240", "--seed", "3",
+                "--workloads-per-class", "1", "--classes", "MEM2"]
+        assert main(["plan", *args]) == 0
+        manifest = CampaignManifest.from_json(capsys.readouterr().out)
+        owned = len(manifest.filter_shard(ShardSpec(1, 2)))
+        assert main([*args, "--shard", "1/2",
+                     "--cache-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines
+        for line in lines:
+            assert re.match(rf"\[figure1\] cell \d+/{owned} \(shard 1/2 "
+                            rf"of {len(manifest)}-cell campaign, ", line)
+        assert lines[-1].startswith(f"[figure1] cell {owned}/{owned} ")
 
     def test_run_cells_progress_unchanged_shape(self):
         calls = []

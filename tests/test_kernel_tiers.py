@@ -1,18 +1,17 @@
-"""The kernel registry and the specializing tier's machinery.
+"""Kernel-tier selection and the specializing tier's machinery.
 
 Bit-identity of the generated kernels is pinned elsewhere (the golden
 digests and the advance-vs-step fuzz both run per tier); this module
-covers the *selection* machinery: the ``REPRO_KERNEL`` knob, the CLI
-flag, fallback for uncovered policies (never an error), per-process
-memoization by machine shape, per-``run()`` re-resolution of the
-mutable key folds, and knob propagation into process-pool workers —
-plus python-vs-default parity across the kernel's whole thread range.
+covers the *selection* machinery: the ``REPRO_KERNEL`` knob, fallback
+for uncovered policies (never an error), per-process memoization by
+machine shape, per-``run()`` re-resolution of the mutable key folds,
+and knob propagation into process-pool workers — plus python-vs-default
+parity across the kernel's whole thread range.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -25,8 +24,7 @@ from repro.core.processor import SMTProcessor
 from repro.errors import ConfigError
 from repro.policies.icount import ICountPolicy
 from repro.policies.registry import policy_names
-from repro.sim.kernels import (kernel_names, python_run_loop,
-                               resolve_run_loop)
+from repro.sim.kernels import python_run_loop, resolve_run_loop
 from repro.trace.generator import generate_trace
 
 
@@ -52,34 +50,7 @@ def test_kernel_mode_env_values(monkeypatch):
             kernel_mode()
 
 
-def test_cli_kernel_flag_sets_env(monkeypatch):
-    from repro.cli import _apply_kernel, build_parser
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    args = build_parser().parse_args(["table1", "--kernel", "python"])
-    _apply_kernel(args)
-    assert os.environ[KERNEL_ENV_VAR] == "python"
-    # absent flag leaves the environment alone
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    _apply_kernel(build_parser().parse_args(["table1"]))
-    assert KERNEL_ENV_VAR not in os.environ
-
-
-def test_bench_cli_takes_kernel_flag():
-    # the campaign run ('all') takes the flag like any exhibit; the
-    # specialized tier is picked by 'auto', never forced
-    from repro.cli import build_parser
-    args = build_parser().parse_args(["all", "--workloads-per-class", "1",
-                                      "--kernel", "python"])
-    assert args.kernel == "python"
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["all", "--kernel", "specialized"])
-
-
-# --- registry + selection ---------------------------------------------------
-
-
-def test_registered_tiers():
-    assert kernel_names() == ("python", "specialized")
+# --- selection --------------------------------------------------------------
 
 
 def test_python_mode_forces_portable_loop(monkeypatch):

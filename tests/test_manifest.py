@@ -17,9 +17,8 @@ from repro.errors import ManifestError
 from repro.experiments import Campaign, ExhibitContext
 from repro.experiments.registry import get_exhibit
 from repro.sim.engine import SimEngine
-from repro.sim.executors import ShardSpec
 from repro.sim.manifest import (MANIFEST_SCHEMA, CampaignManifest,
-                                exhibit_render_key)
+                                ShardSpec, exhibit_render_key)
 from repro.sim.runner import RunSpec
 
 TINY = RunSpec(trace_len=200, seed=3, max_cycles=200_000)

@@ -5,14 +5,9 @@ import dataclasses
 import pytest
 
 from repro.config import baseline
-from repro.sim.baselines import clear_baseline_cache, single_thread_ipc
+from repro.sim.engine import get_engine
 from repro.sim.results import aggregate_by_class, normalize_to, run_fairness
-from repro.sim.runner import (
-    RunSpec,
-    build_traces,
-    clear_run_cache,
-    run_workload,
-)
+from repro.sim.runner import RunSpec, clear_run_cache, run_workload
 from repro.sim.sweep import sweep_policies
 from repro.trace.workloads import Workload, get_workloads
 
@@ -26,18 +21,11 @@ MEM_WORKLOAD = Workload("MEM2", ("swim", "art"))
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     clear_run_cache()
-    clear_baseline_cache()
     yield
     clear_run_cache()
-    clear_baseline_cache()
 
 
 class TestRunner:
-    def test_build_traces_matches_workload(self):
-        traces = build_traces(WORKLOAD, TINY)
-        assert [t.name for t in traces] == ["gzip", "eon"]
-        assert all(len(t) == TINY.trace_len for t in traces)
-
     def test_run_workload_returns_metrics(self):
         run = run_workload(WORKLOAD, "icount", spec=TINY)
         assert run.throughput > 0
@@ -63,18 +51,17 @@ class TestRunner:
 
 class TestBaselines:
     def test_single_thread_ipc_positive(self):
-        assert single_thread_ipc("gzip", spec=TINY) > 0
+        assert get_engine().single_thread_ipc("gzip", spec=TINY) > 0
 
     def test_memoized(self):
-        first = single_thread_ipc("gzip", spec=TINY)
-        second = single_thread_ipc("gzip", spec=TINY)
+        first = get_engine().single_thread_ipc("gzip", spec=TINY)
+        second = get_engine().single_thread_ipc("gzip", spec=TINY)
         assert first == second
 
     def test_policy_field_ignored_for_reference(self):
-        via_rat = single_thread_ipc("gzip",
-                                    config=baseline().with_policy("rat"),
-                                    spec=TINY)
-        via_icount = single_thread_ipc("gzip", spec=TINY)
+        via_rat = get_engine().single_thread_ipc(
+            "gzip", config=baseline().with_policy("rat"), spec=TINY)
+        via_icount = get_engine().single_thread_ipc("gzip", spec=TINY)
         assert via_rat == via_icount
 
 

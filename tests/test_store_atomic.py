@@ -9,13 +9,15 @@ the result store and the exhibit-render cache.
 
 import json
 import os
+import shutil
 
 import pytest
 
+from repro.experiments import Campaign, ExhibitContext
 from repro.sim.engine import SimEngine, SweepCell, simulate_cell
 from repro.sim.runner import RunSpec
-from repro.sim.store import (DiskStore, ExhibitRenderCache,
-                             atomic_write_json)
+from repro.sim.store import (EXHIBIT_RENDER_SALT, DiskStore,
+                             ExhibitRenderCache, atomic_write_json)
 from repro.trace.workloads import Workload
 
 TINY = RunSpec(trace_len=200, seed=3, max_cycles=200_000)
@@ -153,3 +155,72 @@ class TestExhibitRenderCacheAtomicity:
         assert cache.get("c" * 64) is None
         assert cache.misses == 1
 
+
+
+class TestExhibitRenderCacheVerification:
+    """A render entry is served only under its own key and salt, and
+    only as written: like the result store, the render cache checks each
+    entry's key, salt and checksum before serving it."""
+
+    DOCUMENT = {"exhibit": "Figure 1", "title": "t", "data": {},
+                "sections": []}
+
+    @staticmethod
+    def rewrite(cache, key, edit):
+        path = cache._path(key)
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        edit(payload)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+
+    def test_misfiled_entry_is_a_miss(self, tmp_path):
+        cache = ExhibitRenderCache(str(tmp_path / "exhibits"))
+        cache.put("a" * 64, self.DOCUMENT)
+        shutil.copyfile(cache._path("a" * 64), cache._path("b" * 64))
+        assert cache.get("b" * 64) is None
+        assert cache.get("a" * 64) == self.DOCUMENT
+
+    def test_hand_edited_document_is_a_miss(self, tmp_path):
+        cache = ExhibitRenderCache(str(tmp_path / "exhibits"))
+        cache.put("a" * 64, self.DOCUMENT)
+        self.rewrite(cache, "a" * 64,
+                     lambda payload: payload["result"].update(title="x"))
+        assert cache.get("a" * 64) is None
+
+    def test_other_salt_entry_is_a_miss(self, tmp_path):
+        cache = ExhibitRenderCache(str(tmp_path / "exhibits"))
+        cache.put("a" * 64, self.DOCUMENT)
+        self.rewrite(cache, "a" * 64,
+                     lambda payload: payload.update(salt="exhibit-render-v0"))
+        assert cache.get("a" * 64) is None
+        assert [entry.salt for entry in cache.entries()] == \
+            ["exhibit-render-v0"]
+
+    def test_checksum_mismatch_reports_corrupt(self, tmp_path):
+        cache = ExhibitRenderCache(str(tmp_path / "exhibits"))
+        cache.put("a" * 64, self.DOCUMENT)
+        cache.put("b" * 64, self.DOCUMENT)
+        self.rewrite(cache, "b" * 64,
+                     lambda payload: payload["result"].update(title="x"))
+        assert [entry.salt for entry in cache.entries()] == \
+            [EXHIBIT_RENDER_SALT, None]
+        assert cache.stats()["by_salt"]["<corrupt>"]["entries"] == 1
+        assert cache.prune(stale_salts=True).removed == 1
+        assert cache.get("a" * 64) == self.DOCUMENT
+
+    def test_unverified_entry_misses_once_then_re_renders(self, tmp_path):
+        """An entry without a key and checksum (the format before render
+        entries were verified) misses, and the campaign re-renders it."""
+        cache = ExhibitRenderCache(str(tmp_path / "exhibits"))
+        campaign = Campaign(["table1"], ctx=ExhibitContext.make(spec=TINY),
+                            engine=SimEngine())
+        fresh, _ = campaign.regenerate(cache=cache)
+        [key] = [entry.key for entry in cache.entries()]
+        self.rewrite(cache, key, lambda payload: (
+            payload.update(render_key=payload.pop("key")),
+            payload.pop("checksum")))
+        for expected in ("assembled", "from_cache"):
+            results, report = campaign.regenerate(cache=cache)
+            assert getattr(report, expected) == ("table1",)
+            assert results["table1"].render() == fresh["table1"].render()
